@@ -77,9 +77,9 @@ bench-ingest:
 bench-shards:
 	$(GO) run ./cmd/sedabench -exp shards -scale 0.1
 
-# Memory benchmark: SEDASNAP v3 shard compression vs the v2 encoding, plus
-# resident heap and query latency percentiles at resident budgets of
-# 100%/50%/25% of the index size, refreshing the checked-in
+# Memory benchmark: compressed shard-section bytes, plus resident heap and
+# query latency percentiles at resident budgets of 100%/50%/25% of the
+# index size under the heap and disk backings, refreshing the checked-in
 # BENCH_memory.json (scale 0.1, like the rest of the BENCH trajectory).
 bench-memory:
 	$(GO) run ./cmd/sedabench -exp memory -scale 0.1

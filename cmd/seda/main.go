@@ -24,8 +24,7 @@
 //	analyze <measure> <dim> [agg]  aggregate the cube (default SUM)
 //	stats                  collection and dataguide statistics
 //	\save <file>           write the engine as a snapshot (all indexes included)
-//	\load <file>           replace the engine from a snapshot (or a v1
-//	                       collection.gob, which rebuilds the indexes)
+//	\load <file>           replace the engine from a snapshot
 //	help, quit
 package main
 
@@ -107,7 +106,7 @@ func main() {
 
 type repl struct {
 	eng     *seda.Engine
-	cfg     seda.Config // fallback config for \load of v1 collection streams
+	cfg     seda.Config // environment (parallelism, paging) for \load
 	session *seda.Session
 	conns   []seda.Connection
 	k       int
@@ -145,13 +144,9 @@ func (r *repl) dispatch(line string) error {
 		r.eng = le.Engine
 		r.session = nil
 		r.conns = nil
-		how := "loaded from snapshot"
-		if !le.FromSnapshot {
-			how = "rebuilt from v1 collection stream"
-		}
 		st := r.eng.Collection().Stats()
-		fmt.Fprintf(r.out, "%s: %d documents, %d nodes, %d distinct paths (%s)\n",
-			rest, st.NumDocs, st.NumNodes, st.NumPaths, how)
+		fmt.Fprintf(r.out, "%s: %d documents, %d nodes, %d distinct paths (loaded from snapshot)\n",
+			rest, st.NumDocs, st.NumNodes, st.NumPaths)
 		return nil
 	case "query":
 		s, err := r.eng.NewSession(rest)

@@ -14,8 +14,6 @@
 //	                                   # snapshots and survive restarts
 //	sedad -resident-budget 64MB        # page index shards in on demand and
 //	                                   # evict cold ones past the budget
-//	sedad -data ./data -mmap           # mmap snapshot files for paging
-//	                                   # (pread fallback where unsupported)
 //	sedad -slowlog 250ms               # log top-k searches >= 250ms
 //	sedad -pprof                       # profiling at /debug/pprof/
 //
@@ -81,7 +79,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for engine builds and top-k searches (0 = all cores, 1 = sequential)")
 	shards := flag.Int("shards", 0, "horizontal index shards per collection (0 = single shard; answers are identical at any setting)")
 	residentBudget := flag.String("resident-budget", "", "per-collection shard residency budget, e.g. 64MB or 1.5GB (empty or 0 = fully resident; answers are identical at any setting)")
-	mmapOn := flag.Bool("mmap", false, "memory-map snapshot files for disk-backed shard paging instead of positional reads (falls back to reads where mmap is unavailable)")
 	compactThreshold := flag.Float64("compact-threshold", 0.3, "background-compact a collection when its tombstone ratio reaches this fraction (0 disables; compaction then runs only on explicit POST /collections/{name}/compact)")
 	data := flag.String("data", "", "snapshot directory: persist engines after first build and reload them at boot (empty = memory-only)")
 	slowlog := flag.Duration("slowlog", 0, "log top-k searches taking at least this long, with their request id (0 disables)")
@@ -119,7 +116,6 @@ func main() {
 		Parallelism:        *parallelism,
 		Shards:             *shards,
 		ResidentBudget:     budget,
-		Mmap:               *mmapOn,
 		AccessLog:          logger,
 		SlowQueryThreshold: *slowlog,
 		EnablePprof:        *pprofOn,
@@ -143,11 +139,7 @@ func main() {
 		if name == "" {
 			continue
 		}
-		backing := seda.BackingAuto
-		if *mmapOn {
-			backing = seda.BackingMmap
-		}
-		if err := srv.Registry().RegisterBuiltin(name, name, *scale, seda.Config{Parallelism: *parallelism, Shards: *shards, ResidentBudget: budget, Backing: backing}); err != nil {
+		if err := srv.Registry().RegisterBuiltin(name, name, *scale, seda.Config{Parallelism: *parallelism, Shards: *shards, ResidentBudget: budget}); err != nil {
 			logger.Fatalf("preload %s: %v", name, err)
 		}
 		logger.Printf("registered builtin collection %q (scale %g, built on first use)", name, *scale)

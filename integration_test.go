@@ -288,18 +288,6 @@ func TestPublicLoadSaveRoundtrip(t *testing.T) {
 	if loaded.Stats().NumPaths != col.Stats().NumPaths {
 		t.Errorf("paths %d != %d", loaded.Stats().NumPaths, col.Stats().NumPaths)
 	}
-	// Binary persistence.
-	var buf bytes.Buffer
-	if err := col.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := LoadCollection(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.NumNodes() != col.NumNodes() {
-		t.Errorf("nodes %d != %d", re.NumNodes(), col.NumNodes())
-	}
 }
 
 // TestDataguideSweepMonotonic is the E5 shape check at small scale: guide

@@ -49,7 +49,6 @@ func TestBackingModes(t *testing.T) {
 		{"auto", BackingAuto, true},
 		{"heap", BackingHeap, false},
 		{"disk", BackingDisk, true},
-		{"mmap", BackingMmap, true},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -116,9 +116,6 @@ const (
 	BackingHeap
 	// BackingDisk pages evicted shards from the snapshot file with pread.
 	BackingDisk
-	// BackingMmap memory-maps the snapshot file and pages evicted shards
-	// from the mapping, falling back to pread where mmap is unavailable.
-	BackingMmap
 )
 
 // diskEnabled reports whether the mode pages from the snapshot file when
@@ -132,8 +129,6 @@ func (m BackingMode) String() string {
 		return "heap"
 	case BackingDisk:
 		return "disk"
-	case BackingMmap:
-		return "mmap"
 	default:
 		return "auto"
 	}

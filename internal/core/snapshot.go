@@ -16,7 +16,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -39,16 +38,12 @@ import (
 
 // snapshotFormatVersion is the engine-container format version. Layer
 // payloads carry their own versions; this one gates the container shape
-// and the section roster. Version 2 replaced the single "index" section
-// with one "index.<n>" section per shard, so snapshot encode and decode
-// parallelize across shards; version 3 switched the shard sections to the
-// delta-compressed posting codec (see internal/index); version 4 added
-// the optional "tombstones" section carrying the generation's deletion
-// mask (absent when every document is live, so an unmasked v4 container
-// differs from v3 only in the version field). Version-1 containers still
-// load (as a single-shard engine), version-2 containers load via the
-// shard codec's own version gate, and v3 containers load as tombstone-
-// free v4s.
+// and the section roster: one "index.<n>" section per shard in the
+// delta-compressed shard codec (see internal/index), plus the optional
+// "tombstones" section carrying the generation's deletion mask (absent
+// when every document is live). It is the only version read: snapshots
+// are a validated cache of layers derived from source, so an older
+// container fails with snapcodec.ErrVersion and is rebuilt.
 const snapshotFormatVersion = 4
 
 // Section names of the engine container, in write order. The graph and
@@ -60,10 +55,9 @@ const (
 	secPathdict   = "pathdict"
 	secCollection = "collection"
 	secGraph      = "graph"
-	secIndex      = "index"      // v1 only: the whole index as one section
-	secIndexShard = "index."     // v2: one section per shard ("index.0", …)
+	secIndexShard = "index."     // one section per shard ("index.0", …)
 	secDataguide  = "dataguide"  // absent when the engine skipped dataguides
-	secTombstones = "tombstones" // v4: deletion mask; absent when unmasked
+	secTombstones = "tombstones" // deletion mask; absent when unmasked
 )
 
 // metaVersion versions the meta-section payload.
@@ -73,7 +67,7 @@ const metaVersion = 1
 // internal/snapcodec pass through and also match with errors.Is.
 var (
 	// ErrNotSnapshot aliases snapcodec.ErrNotSnapshot: the stream is not
-	// an engine snapshot (likely a v1 collection.gob or unrelated data).
+	// an engine snapshot (bad magic).
 	ErrNotSnapshot = snapcodec.ErrNotSnapshot
 	// ErrConfigMismatch reports a snapshot whose recorded config
 	// fingerprint (or source tag) differs from what the caller expects.
@@ -252,26 +246,35 @@ func rebindBacking(path string, e *Engine) {
 	if err != nil {
 		return
 	}
-	_, sections, err := snapcodec.ScanSections(f, snapshotFormatVersion)
+	_, roster, err := snapcodec.ScanSections(f, snapshotFormatVersion)
 	f.Close()
 	if err != nil {
 		return
 	}
-	b, err := index.OpenBacking(path, e.cfg.Backing == BackingMmap)
+	byName, err := newSectionSet(roster)
 	if err != nil {
 		return
 	}
-	for _, sec := range sections {
-		if !strings.HasPrefix(sec.Name, secIndexShard) {
-			continue
-		}
-		s, err := strconv.Atoi(sec.Name[len(secIndexShard):])
-		if err != nil || s < 0 || s >= e.ix.NumShards() {
-			continue
-		}
-		// A size mismatch (BindBacking rejects it) leaves that shard on its
-		// previous tier; the other shards still re-bind.
-		_ = e.ix.BindBacking(s, index.NewBackingRef(b, sec.Offset, sec.Size, sec.CRC))
+	secs, err := indexSections(byName)
+	if err != nil || len(secs) != e.ix.NumShards() {
+		return
+	}
+	bindBacking(path, e.ix, secs)
+}
+
+// bindBacking hands each shard of ix a ref to its section in the snapshot
+// file at path, so eviction drops the encoded payload too and page-in
+// re-reads (and re-verifies) it from disk. Best-effort: on an open or bind
+// failure (BindBacking rejects a size mismatch) the affected shards keep
+// their previous tier, exactly like a built not-yet-saved engine or an
+// in-memory load.
+func bindBacking(path string, ix *index.Index, secs []snapcodec.Section) {
+	b, err := index.OpenBacking(path)
+	if err != nil {
+		return
+	}
+	for s, sec := range secs {
+		_ = ix.BindBacking(s, index.NewBackingRef(b, sec.Offset, sec.Size, sec.CRC))
 	}
 }
 
@@ -288,7 +291,8 @@ func LoadEngine(r io.Reader, cfg Config, source string) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	return loadEngine(data, "", &cfg, source)
+	e, _, err := decodeEngine(data, "", cfg, true, source)
+	return e, err
 }
 
 // LoadEngineFile is LoadEngine over a file. With a positive
@@ -301,78 +305,37 @@ func LoadEngineFile(path string, cfg Config, source string) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	return loadEngine(data, path, &cfg, source)
+	e, _, err := decodeEngine(data, path, cfg, true, source)
+	return e, err
 }
 
 // LoadedEngine is the result of LoadEngineAuto.
 type LoadedEngine struct {
 	Engine *Engine
-	// Config is the construction config the engine carries: the snapshot's
-	// stored config, or the caller's fallback when a v1 stream was rebuilt.
+	// Config is the snapshot's stored construction config, carrying the
+	// caller's environment fields and the stored shard count.
 	Config Config
-	// Source is the snapshot's stored origin tag ("" for v1 streams).
+	// Source is the snapshot's stored origin tag.
 	Source string
-	// FromSnapshot is false when the stream was a v1 collection.gob and
-	// every derived layer had to be rebuilt.
-	FromSnapshot bool
 }
 
-// LoadEngineAuto loads an engine from path without an expectation: an
-// engine snapshot is adopted together with its stored config (no
-// fingerprint check — the snapshot is the authority), while a v1
-// collection.gob stream falls back to store.Load plus a full NewEngine
-// rebuild under fallback. fallback.Parallelism and
-// fallback.ResidentBudget apply in both cases (for a rebuilt v1 stream
-// the budget takes effect via NewEngine).
-func LoadEngineAuto(path string, fallback Config) (*LoadedEngine, error) {
+// LoadEngineAuto loads the snapshot at path without an expectation: the
+// engine is adopted together with its stored config (no fingerprint check
+// — the snapshot is the authority). env supplies only the environment
+// fields: Parallelism, ResidentBudget and Backing. A file that is not an
+// engine snapshot fails with ErrNotSnapshot, and a snapshot in a retired
+// container version with snapcodec.ErrVersion; either way the caller
+// rebuilds from source.
+func LoadEngineAuto(path string, env Config) (*LoadedEngine, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	if len(data) >= len(snapcodec.Magic) && string(data[:len(snapcodec.Magic)]) == snapcodec.Magic {
-		le := &LoadedEngine{FromSnapshot: true}
-		le.Engine, err = loadEngineInto(data, path, nil, "", fallback.ResidentBudget, fallback.Backing, le)
-		if err != nil {
-			return nil, err
-		}
-		le.Config.Parallelism = fallback.Parallelism
-		le.Engine.cfg.Parallelism = fallback.Parallelism
-		le.Engine.parallelism = resolveParallelism(fallback.Parallelism)
-		return le, nil
-	}
-	// v1 compatibility shim: a bare collection stream; derived layers are
-	// rebuilt, which is exactly the cost the snapshot format removes.
-	col, err := store.Load(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("core: load engine %q: %w (and not a v1 collection: %v)", path, ErrNotSnapshot, err)
-	}
-	eng, err := NewEngine(col, fallback)
+	e, source, err := decodeEngine(data, path, env, false, "")
 	if err != nil {
 		return nil, err
 	}
-	return &LoadedEngine{Engine: eng, Config: eng.cfg, FromSnapshot: false}, nil
-}
-
-// SniffSnapshotFile reports whether path begins with the engine-snapshot
-// magic: a cheap 8-byte format check distinguishing real snapshots from
-// v1 collection streams without paying a parse or a rebuild. Callers that
-// cannot supply a construction config (a registry discovering files at
-// boot) use it to refuse v1 streams instead of rebuilding under guessed
-// defaults.
-func SniffSnapshotFile(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("core: sniff snapshot: %w", err)
-	}
-	defer f.Close()
-	magic := make([]byte, len(snapcodec.Magic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return false, nil
-		}
-		return false, fmt.Errorf("core: sniff snapshot: %w", err)
-	}
-	return string(magic) == snapcodec.Magic, nil
+	return &LoadedEngine{Engine: e, Config: e.cfg, Source: source}, nil
 }
 
 func resolveParallelism(p int) int {
@@ -382,92 +345,150 @@ func resolveParallelism(p int) int {
 	return p
 }
 
-// loadEngine decodes a snapshot. When want is non-nil the stored config
-// fingerprint must match want's (and the stored source tag must match
-// source when source is non-empty); when nil the stored config is adopted.
-// path, when non-empty, names the snapshot file for disk-backed paging.
-func loadEngine(data []byte, path string, want *Config, source string) (*Engine, error) {
-	le := &LoadedEngine{}
-	var budget int64
-	var backing BackingMode
-	if want != nil {
-		budget = want.ResidentBudget
-		backing = want.Backing
-	}
-	eng, err := loadEngineInto(data, path, want, source, budget, backing, le)
-	if err != nil {
-		return nil, err
-	}
-	if want != nil {
-		eng.cfg.Parallelism = want.Parallelism
-		eng.parallelism = resolveParallelism(want.Parallelism)
-	}
-	return eng, nil
-}
+// sectionSet indexes a container's sections by name.
+type sectionSet map[string]snapcodec.Section
 
-// loadEngineInto decodes a snapshot container. budget > 0 enables paged
-// residency: shard sections are parsed but their posting payloads stay
-// encoded until first touch, and a pager evicts decoded shards back to
-// those payloads whenever their total exact encoded size exceeds budget.
-// Like Parallelism, the budget is environment, not identity — it comes
-// from the caller, never from the snapshot. A non-empty path names the
-// file data was read from; with a pager and a disk-enabled backing mode
-// it becomes the paging backstore (see Config.Backing).
-func loadEngineInto(data []byte, path string, want *Config, source string, budget int64, backing BackingMode, le *LoadedEngine) (*Engine, error) {
-	t0 := time.Now()
-	version, sections, err := snapcodec.ReadContainer(data, snapshotFormatVersion)
-	if err != nil {
-		return nil, fmt.Errorf("core: load engine: %w", err)
-	}
-	byName := make(map[string]snapcodec.Section, len(sections))
+// newSectionSet indexes sections by name; a duplicate name is corruption.
+func newSectionSet(sections []snapcodec.Section) (sectionSet, error) {
+	secs := make(sectionSet, len(sections))
 	for _, s := range sections {
-		if _, dup := byName[s.Name]; dup {
+		if _, dup := secs[s.Name]; dup {
 			return nil, fmt.Errorf("core: load engine: %w: duplicate section %q", snapcodec.ErrCorrupt, s.Name)
 		}
-		byName[s.Name] = s
+		secs[s.Name] = s
 	}
-	need := func(name string) (*snapcodec.Reader, error) {
-		s, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("core: load engine: %w: missing section %q", snapcodec.ErrCorrupt, name)
-		}
-		return snapcodec.NewReader(s.Payload), nil
-	}
+	return secs, nil
+}
 
-	mr, err := need(secMeta)
+// need returns a reader over the named section, or ErrCorrupt when the
+// container lacks it.
+func (ss sectionSet) need(name string) (*snapcodec.Reader, error) {
+	s, ok := ss[name]
+	if !ok {
+		return nil, fmt.Errorf("core: load engine: %w: missing section %q", snapcodec.ErrCorrupt, name)
+	}
+	return snapcodec.NewReader(s.Payload), nil
+}
+
+// decodeEngine decodes a snapshot container, one step per section: the
+// framing, the meta section, the collection layers, then the graph, index
+// shards and dataguides concurrently. env supplies the environment fields
+// (Parallelism, ResidentBudget, Backing), which are never persisted. With
+// verify set the stored config fingerprint must match env's (and the
+// stored source tag must match source when source is non-empty); without
+// it the stored config is adopted. A non-empty path names the file data
+// was read from; with a positive budget and a disk-enabled backing mode it
+// becomes the paging backstore. It returns the engine and the stored
+// source tag.
+func decodeEngine(data []byte, path string, env Config, verify bool, source string) (*Engine, string, error) {
+	t0 := time.Now()
+	secs, err := readContainer(data)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	if v := mr.Int(); mr.Err() == nil && v != metaVersion {
-		return nil, fmt.Errorf("core: load engine: %w: meta version %d", snapcodec.ErrVersion, v)
-	}
-	storedFP := mr.String()
-	storedSource := mr.String()
-	storedCfg, err := decodeConfig(mr)
+	cfg, storedSource, err := decodeMeta(secs)
 	if err != nil {
-		return nil, fmt.Errorf("core: load engine: %w", err)
+		return nil, "", err
 	}
-	if fp := storedCfg.Fingerprint(); fp != storedFP {
-		return nil, fmt.Errorf("core: load engine: %w: stored fingerprint %q does not describe stored config %q", snapcodec.ErrCorrupt, storedFP, fp)
-	}
-	if want != nil {
-		if fp := want.Fingerprint(); fp != storedFP {
-			return nil, fmt.Errorf("%w: snapshot built with %q, caller wants %q", ErrConfigMismatch, storedFP, fp)
+	if verify {
+		if want, have := env.Fingerprint(), cfg.Fingerprint(); want != have {
+			return nil, "", fmt.Errorf("%w: snapshot built with %q, caller wants %q", ErrConfigMismatch, have, want)
 		}
 		if source != "" && storedSource != source {
-			return nil, fmt.Errorf("%w: snapshot source %q, caller wants %q", ErrConfigMismatch, storedSource, source)
+			return nil, "", fmt.Errorf("%w: snapshot source %q, caller wants %q", ErrConfigMismatch, storedSource, source)
 		}
 	}
-	le.Config = storedCfg
-	le.Source = storedSource
 
 	// timings records per-section decode wall times alongside the total;
 	// concurrent sections each time themselves, so the entries are
 	// per-layer wall times, not a sum (same convention as the build).
 	timings := make(map[string]time.Duration)
+	col, err := decodeCollection(secs, timings)
+	if err != nil {
+		return nil, "", err
+	}
+	shardSecs, err := indexSections(secs)
+	if err != nil {
+		return nil, "", err
+	}
+	g, ix, dg, err := decodeDerived(secs, shardSecs, col, cfg.SkipDataguides, env.ResidentBudget > 0, timings)
+	if err != nil {
+		return nil, "", err
+	}
 
-	tp := time.Now()
-	pr, err := need(secPathdict)
+	// The engine keeps the snapshot's shard layout; recording it in the
+	// config means a re-save (or a registry re-persist after ingest)
+	// preserves the layout.
+	cfg.Shards = ix.NumShards()
+	cfg.Parallelism = env.Parallelism
+	cfg.ResidentBudget = env.ResidentBudget
+	cfg.Backing = env.Backing
+	e := &Engine{
+		col:          col,
+		ix:           ix,
+		g:            g,
+		dg:           dg,
+		cfg:          cfg,
+		parallelism:  resolveParallelism(cfg.Parallelism),
+		BuildTimings: timings,
+	}
+	if p := index.NewPager(cfg.ResidentBudget); p != nil {
+		e.pager = p
+		ix.AttachPager(p)
+		if path != "" && cfg.Backing.diskEnabled() {
+			bindBacking(path, ix, shardSecs)
+		}
+	}
+	timings["load"] = time.Since(t0)
+	e.finish()
+	return e, storedSource, nil
+}
+
+// readContainer parses the container framing and indexes its sections.
+// Only the current container version is read: an older snapshot is a
+// snapcodec.ErrVersion, and the caller rebuilds from source.
+func readContainer(data []byte) (sectionSet, error) {
+	version, sections, err := snapcodec.ReadContainer(data, snapshotFormatVersion)
+	if err != nil {
+		return nil, fmt.Errorf("core: load engine: %w", err)
+	}
+	if version != snapshotFormatVersion {
+		return nil, fmt.Errorf("core: load engine: %w: container version %d, want %d", snapcodec.ErrVersion, version, snapshotFormatVersion)
+	}
+	return newSectionSet(sections)
+}
+
+// decodeMeta reads the meta section: the stored construction config and
+// source tag. The stored fingerprint must describe the stored config.
+func decodeMeta(secs sectionSet) (Config, string, error) {
+	mr, err := secs.need(secMeta)
+	if err != nil {
+		return Config{}, "", err
+	}
+	if v := mr.Int(); mr.Err() == nil && v != metaVersion {
+		return Config{}, "", fmt.Errorf("core: load engine: %w: meta version %d", snapcodec.ErrVersion, v)
+	}
+	storedFP := mr.String()
+	storedSource := mr.String()
+	cfg, err := decodeConfig(mr)
+	if err != nil {
+		return Config{}, "", fmt.Errorf("core: load engine: %w", err)
+	}
+	if fp := cfg.Fingerprint(); fp != storedFP {
+		return Config{}, "", fmt.Errorf("core: load engine: %w: stored fingerprint %q does not describe stored config %q", snapcodec.ErrCorrupt, storedFP, fp)
+	}
+	return cfg, storedSource, nil
+}
+
+// decodeCollection reads the path dictionary, the collection, and — when
+// present — the tombstones section. The deletion mask attaches before any
+// dependent layer decodes: FromShards re-derives the index mask from the
+// collection's tombstones, and the graph and dataguide codecs validate
+// against the masked collection. The persisted collection statistics were
+// masked at save time, so nothing is subtracted here.
+func decodeCollection(secs sectionSet, timings map[string]time.Duration) (*store.Collection, error) {
+	t := time.Now()
+	pr, err := secs.need(secPathdict)
 	if err != nil {
 		return nil, err
 	}
@@ -475,9 +496,10 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	timings["load-pathdict"] = time.Since(tp)
-	tp = time.Now()
-	cr, err := need(secCollection)
+	timings["load-pathdict"] = time.Since(t)
+
+	t = time.Now()
+	cr, err := secs.need(secCollection)
 	if err != nil {
 		return nil, err
 	}
@@ -485,15 +507,9 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	timings["load-collection"] = time.Since(tp)
+	timings["load-collection"] = time.Since(t)
 
-	// The v4 tombstone section, when present, attaches the deletion mask
-	// before any dependent layer decodes: FromShards re-derives the index
-	// mask from the collection's tombstones, and the graph and dataguide
-	// codecs validate against the masked collection. The persisted
-	// collection statistics were masked at save time, so nothing is
-	// subtracted here.
-	if s, ok := byName[secTombstones]; ok {
+	if s, ok := secs[secTombstones]; ok {
 		dead, err := store.DecodeTombstones(snapcodec.NewReader(s.Payload), col.NumDocs())
 		if err != nil {
 			return nil, fmt.Errorf("core: load engine: %w", err)
@@ -502,86 +518,71 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 			return nil, fmt.Errorf("core: load engine: %w: %v", snapcodec.ErrCorrupt, err)
 		}
 	}
+	return col, nil
+}
 
-	// The index's shard roster: a v2 container carries index.0 … index.N-1,
-	// a v1 container one flat "index" section (decoded as a single shard).
-	// The full Sections are kept — their Offset/Size/CRC become the shards'
-	// backing refs when the snapshot file doubles as the paging backstore.
-	var shardSections []snapcodec.Section
-	if version >= 2 {
-		for {
-			s, ok := byName[fmt.Sprintf("%s%d", secIndexShard, len(shardSections))]
-			if !ok {
-				break
-			}
-			shardSections = append(shardSections, s)
+// indexSections returns the index's shard roster, index.0 … index.N-1 in
+// order. The full Sections are kept: their Offset/Size/CRC become the
+// shards' backing refs when the snapshot file doubles as the paging
+// backstore.
+func indexSections(secs sectionSet) ([]snapcodec.Section, error) {
+	var out []snapcodec.Section
+	for {
+		s, ok := secs[secIndexShard+strconv.Itoa(len(out))]
+		if !ok {
+			break
 		}
-		if len(shardSections) == 0 {
-			return nil, fmt.Errorf("core: load engine: %w: missing section %q", snapcodec.ErrCorrupt, secIndexShard+"0")
-		}
+		out = append(out, s)
 	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("core: load engine: %w: missing section %q", snapcodec.ErrCorrupt, secIndexShard+"0")
+	}
+	return out, nil
+}
 
-	// The remaining layers depend only on the collection, so they decode
-	// concurrently: the graph, every index shard, and the dataguide set
-	// are independent jobs over a worker pool. Errors surface in roster
-	// order so the reported failure is deterministic.
+// decodeDerived decodes the layers that depend only on the collection —
+// the graph, every index shard, and the dataguide set — as independent
+// jobs over a worker pool. paged defers shard posting payloads to first
+// touch. Errors surface in roster order so the reported failure is
+// deterministic.
+func decodeDerived(secs sectionSet, shardSecs []snapcodec.Section, col *store.Collection, skipDataguides, paged bool, timings map[string]time.Duration) (*graph.Graph, *index.Index, *dataguide.Set, error) {
+	dgSection, haveDg := secs[secDataguide]
+	if !haveDg && !skipDataguides {
+		return nil, nil, nil, fmt.Errorf("core: load engine: %w: missing section %q", snapcodec.ErrCorrupt, secDataguide)
+	}
+	decodeShard := index.DecodeShard
+	if paged {
+		decodeShard = index.DecodeShardPaged
+	}
 	var (
 		g          *graph.Graph
-		shards     = make([]*index.Shard, len(shardSections))
-		shardErrs  = make([]error, len(shardSections))
-		shardTimes = make([]time.Duration, len(shardSections))
-		ix         *index.Index
 		dg         *dataguide.Set
 		gErr       error
-		ixErr      error
 		dgErr      error
 		gTime      time.Duration
-		ixTime     time.Duration
 		dgTime     time.Duration
+		shards     = make([]*index.Shard, len(shardSecs))
+		shardErrs  = make([]error, len(shardSecs))
+		shardTimes = make([]time.Duration, len(shardSecs))
 	)
-	dgSection, haveDg := byName[secDataguide]
-	if !haveDg && !storedCfg.SkipDataguides {
-		return nil, fmt.Errorf("core: load engine: %w: missing section %q", snapcodec.ErrCorrupt, secDataguide)
-	}
-	jobs := []func(){
-		func() {
-			t := time.Now()
-			defer func() { gTime = time.Since(t) }()
-			gr, err := need(secGraph)
-			if err != nil {
-				gErr = err
-				return
-			}
-			if g, err = graph.Decode(gr, col); err != nil {
-				gErr = fmt.Errorf("core: load engine: %w", err)
-			}
-		},
-	}
-	if version >= 2 {
-		decodeShard := index.DecodeShard
-		if budget > 0 {
-			decodeShard = index.DecodeShardPaged
+	jobs := []func(){func() {
+		t := time.Now()
+		defer func() { gTime = time.Since(t) }()
+		gr, err := secs.need(secGraph)
+		if err != nil {
+			gErr = err
+			return
 		}
-		for i := range shardSections {
-			i := i
-			jobs = append(jobs, func() {
-				t := time.Now()
-				shards[i], shardErrs[i] = decodeShard(snapcodec.NewReader(shardSections[i].Payload), col)
-				shardTimes[i] = time.Since(t)
-			})
+		if g, err = graph.Decode(gr, col); err != nil {
+			gErr = fmt.Errorf("core: load engine: %w", err)
 		}
-	} else {
+	}}
+	for i := range shardSecs {
+		i := i
 		jobs = append(jobs, func() {
 			t := time.Now()
-			defer func() { ixTime = time.Since(t) }()
-			ir, err := need(secIndex)
-			if err != nil {
-				ixErr = err
-				return
-			}
-			if ix, err = index.Decode(ir, col); err != nil {
-				ixErr = fmt.Errorf("core: load engine: %w", err)
-			}
+			shards[i], shardErrs[i] = decodeShard(snapcodec.NewReader(shardSecs[i].Payload), col)
+			shardTimes[i] = time.Since(t)
 		})
 	}
 	if haveDg {
@@ -594,80 +595,38 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 			}
 		})
 	}
-	runJobs(jobs, resolveParallelism(storedCfg.Parallelism))
+	// Parallelism is not persisted, so the stored config always resolves
+	// to GOMAXPROCS workers here.
+	runJobs(jobs, resolveParallelism(0))
 	if gErr != nil {
-		return nil, gErr
+		return nil, nil, nil, gErr
 	}
 	for _, err := range shardErrs {
 		if err != nil {
-			return nil, fmt.Errorf("core: load engine: %w", err)
+			return nil, nil, nil, fmt.Errorf("core: load engine: %w", err)
 		}
-	}
-	if ixErr != nil {
-		return nil, ixErr
 	}
 	if dgErr != nil {
-		return nil, dgErr
+		return nil, nil, nil, dgErr
 	}
-	if version >= 2 {
-		t := time.Now()
-		ix, err = index.FromShards(col, shards)
-		if err != nil {
-			return nil, fmt.Errorf("core: load engine: %w: %v", snapcodec.ErrCorrupt, err)
-		}
-		// Shard decodes run concurrently, so the index layer's wall time is
-		// its slowest shard plus the roster assembly.
-		for _, d := range shardTimes {
-			if d > ixTime {
-				ixTime = d
-			}
-		}
-		ixTime += time.Since(t)
+
+	t := time.Now()
+	ix, err := index.FromShards(col, shards)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: load engine: %w: %v", snapcodec.ErrCorrupt, err)
+	}
+	// Shard decodes run concurrently, so the index layer's wall time is its
+	// slowest shard plus the roster assembly.
+	var ixTime time.Duration
+	for _, d := range shardTimes {
+		ixTime = max(ixTime, d)
 	}
 	timings["load-graph"] = gTime
-	timings["load-index"] = ixTime
+	timings["load-index"] = ixTime + time.Since(t)
 	if haveDg {
 		timings["load-dataguide"] = dgTime
 	}
-
-	// The engine keeps the snapshot's shard layout; recording it in the
-	// config means a re-save (or a registry re-persist after ingest)
-	// preserves the layout.
-	storedCfg.Shards = ix.NumShards()
-	storedCfg.ResidentBudget = budget
-	storedCfg.Backing = backing
-	le.Config = storedCfg
-
-	e := &Engine{
-		col:          col,
-		ix:           ix,
-		g:            g,
-		dg:           dg,
-		cfg:          storedCfg,
-		parallelism:  resolveParallelism(storedCfg.Parallelism),
-		BuildTimings: timings,
-	}
-	if p := index.NewPager(budget); p != nil {
-		e.pager = p
-		ix.AttachPager(p)
-		// Disk-backed residency: hand each shard a ref to its section in the
-		// snapshot file, so eviction drops the encoded payload too and
-		// page-in re-reads (and re-verifies) it from disk. Best-effort — on
-		// an open or bind failure the affected shards keep their in-heap
-		// encoded payloads (the PR 8 behavior), exactly like a built
-		// not-yet-saved engine or an in-memory load.
-		if path != "" && backing.diskEnabled() && version >= 2 {
-			if b, err := index.OpenBacking(path, backing == BackingMmap); err == nil {
-				for i, sec := range shardSections {
-					_ = ix.BindBacking(i, index.NewBackingRef(b, sec.Offset, sec.Size, sec.CRC))
-				}
-			}
-		}
-	}
-	timings["load"] = time.Since(t0)
-	e.finish()
-	le.Engine = e
-	return e, nil
+	return g, ix, dg, nil
 }
 
 // runJobs executes the jobs over at most workers goroutines, in index

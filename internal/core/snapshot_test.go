@@ -235,48 +235,33 @@ func TestSaveEngineFileAtomic(t *testing.T) {
 	}
 }
 
-func TestLoadEngineAutoV1Compat(t *testing.T) {
+// TestLoadEngineAuto: a snapshot is adopted with its stored config and
+// source tag, the caller supplying only the environment fields.
+func TestLoadEngineAuto(t *testing.T) {
 	e := newEngine(t)
 	dir := t.TempDir()
-
-	// A v1 collection.gob written by (*Collection).Save.
-	gobPath := filepath.Join(dir, "collection.gob")
-	f, err := os.Create(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Collection().Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	le, err := LoadEngineAuto(gobPath, Config{})
-	if err != nil {
-		t.Fatalf("LoadEngineAuto(v1): %v", err)
-	}
-	if le.FromSnapshot {
-		t.Error("v1 stream reported FromSnapshot")
-	}
-	if want, have := searchFingerprint(t, e), searchFingerprint(t, le.Engine); want != have {
-		t.Error("v1-rebuilt engine behaves differently")
-	}
-
-	// A real snapshot: adopted with its stored config, no rebuild.
 	snapPath := filepath.Join(dir, "col.snap")
 	if err := SaveEngineFile(snapPath, e, "tagged"); err != nil {
 		t.Fatal(err)
 	}
-	le2, err := LoadEngineAuto(snapPath, Config{Parallelism: 2})
+	le, err := LoadEngineAuto(snapPath, Config{Parallelism: 2, DataguideThreshold: 0.9})
 	if err != nil {
 		t.Fatalf("LoadEngineAuto(snapshot): %v", err)
 	}
-	if !le2.FromSnapshot || le2.Source != "tagged" {
-		t.Errorf("FromSnapshot=%v Source=%q", le2.FromSnapshot, le2.Source)
+	if le.Source != "tagged" {
+		t.Errorf("Source = %q, want %q", le.Source, "tagged")
 	}
-	if le2.Config.Fingerprint() != e.cfg.Fingerprint() {
+	if le.Config.Fingerprint() != e.cfg.Fingerprint() {
 		t.Error("stored config not adopted")
 	}
+	if le.Config.Parallelism != 2 || le.Engine.parallelism != 2 {
+		t.Errorf("Parallelism = %d (engine %d), want the caller's 2", le.Config.Parallelism, le.Engine.parallelism)
+	}
+	if want, have := searchFingerprint(t, e), searchFingerprint(t, le.Engine); want != have {
+		t.Error("adopted engine behaves differently")
+	}
 
-	// Garbage that is neither format.
+	// Garbage is not a snapshot.
 	junk := filepath.Join(dir, "junk")
 	os.WriteFile(junk, []byte("not anything"), 0o644)
 	if _, err := LoadEngineAuto(junk, Config{}); !errors.Is(err, ErrNotSnapshot) {

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"seda/internal/snapcodec"
@@ -13,86 +12,51 @@ import (
 // the paging backstore. Each shard may carry a BackingRef — the open file
 // plus its section's offset, length, and roster CRC — so eviction drops
 // BOTH the decoded state and the in-heap encoded payload, and page-in
-// re-reads the section (pread, or a shared mmap) and re-verifies its CRC
-// before decoding. Built-not-yet-saved shards have no ref and degrade to
-// in-heap encoded eviction.
+// re-reads the section with pread and re-verifies its CRC before
+// decoding. Built-not-yet-saved shards have no ref and degrade to in-heap
+// encoded eviction.
 //
 // Refs are never invalidated in place. A save re-binds every shard to the
 // new file wholesale (the codec is canonical, so the new section bytes
 // equal the current shard encoding); the old Backing stays valid for any
 // generation still holding it — POSIX keeps the unlinked inode readable
-// through the open descriptor — and is closed by its finalizer when the
+// through the open descriptor — and os.File's finalizer closes it when the
 // last ref is collected.
 
-// Residency-tier names reported by ShardStats.Backing, /debug/stats, and
-// sedabench's backing dimension.
+// Residency-tier names reported by ShardStats.Backing and /debug/stats.
 const (
 	// TierHeap: the shard's encoded payload (when evicted) lives on the
-	// Go heap — the PR 8 behavior, and the only tier for built engines.
+	// Go heap — the only tier for built engines.
 	TierHeap = "heap"
 	// TierDisk: the encoded payload lives in the snapshot file; page-in
 	// pread()s the section back.
 	TierDisk = "disk"
-	// TierMmap: the snapshot file is memory-mapped; page-in slices the
-	// section out of the mapping (the kernel pages it).
-	TierMmap = "mmap"
 )
 
 // Backing is one open snapshot file serving as a paging backstore, shared
 // by every shard loaded from it. Immutable once opened; reads are
-// positional (pread) or through the shared read-only mapping, so no
-// mutable file offset exists and concurrent page-ins need no lock here.
+// positional (pread), so no mutable file offset exists and concurrent
+// page-ins need no lock here.
 //
 //seda:immutable
 type Backing struct {
 	path string
-	mode string   // TierDisk or TierMmap
-	f    *os.File // pread handle; nil in mmap mode
-	mm   []byte   // read-only mapping; nil in pread mode
+	f    *os.File
 }
 
-// OpenBacking opens the snapshot at path as a paging backstore. With
-// wantMmap set it memory-maps the file read-only, falling back to plain
-// pread when the platform (or the mapping) does not cooperate — mmap is
-// an optimization, never a contract. The pread handle is closed by
-// os.File's own finalizer; a mapping is unmapped by a finalizer on the
-// Backing.
+// OpenBacking opens the snapshot at path as a paging backstore.
 //
 //seda:constructor
-func OpenBacking(path string, wantMmap bool) (*Backing, error) {
+func OpenBacking(path string) (*Backing, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: opening backing store: %w", err)
 	}
-	if wantMmap {
-		if mm, err := mmapFile(f); err == nil {
-			// The mapping outlives the descriptor; drop it now.
-			f.Close()
-			b := &Backing{path: path, mode: TierMmap, mm: mm}
-			runtime.SetFinalizer(b, func(b *Backing) { munmapFile(b.mm) })
-			return b, nil
-		}
-	}
-	return &Backing{path: path, mode: TierDisk, f: f}, nil
+	return &Backing{path: path, f: f}, nil
 }
 
-// Mode returns the backing's residency tier (TierDisk or TierMmap).
-func (b *Backing) Mode() string { return b.mode }
-
-// Path returns the snapshot file the backing reads from.
-func (b *Backing) Path() string { return b.path }
-
-// read returns size bytes at off: a fresh buffer in pread mode, a slice
-// of the shared mapping in mmap mode (callers must not retain it past the
-// decode — and must keep the owning BackingRef alive across the read, see
-// runtime.KeepAlive in pageInBacked).
+// read returns a fresh buffer holding size bytes at off.
 func (b *Backing) read(off int64, size int) ([]byte, error) {
-	if b.mm != nil {
-		if off < 0 || off > int64(len(b.mm)) || int64(size) > int64(len(b.mm))-off {
-			return nil, fmt.Errorf("%w: section [%d, +%d) outside mapped snapshot of %d bytes", snapcodec.ErrCorrupt, off, size, len(b.mm))
-		}
-		return b.mm[off : off+int64(size)], nil
-	}
 	buf := make([]byte, size)
 	if _, err := b.f.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("%w: reading section [%d, +%d) from %s: %v", snapcodec.ErrCorrupt, off, size, b.path, err)
@@ -136,9 +100,6 @@ func (ref *BackingRef) payload() ([]byte, error) {
 
 // Size returns the section's length in bytes.
 func (ref *BackingRef) Size() int { return ref.size }
-
-// Tier returns the residency tier the ref provides (TierDisk or TierMmap).
-func (ref *BackingRef) Tier() string { return ref.b.mode }
 
 // BindBacking points shard s at its encoded section in the snapshot file:
 // from here on, eviction drops the in-heap encoded payload too, and
@@ -189,10 +150,5 @@ func (sh *Shard) pageInBacked(ref *BackingRef) (*shardData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: paging in shard [%d,%d): %w", sh.lo, sh.hi, err)
 	}
-	// In mmap mode the payload aliases the mapping: keep the ref (and so
-	// the Backing) alive until the decode — which copies everything it
-	// retains — is done, or a concurrent re-bind could let the finalizer
-	// unmap under the read.
-	runtime.KeepAlive(ref)
 	return d, nil
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -9,16 +8,23 @@ import (
 	"seda/internal/store"
 )
 
+// TestCodecRoundTrip: an index persisted shard by shard and reassembled
+// with FromShards answers every read exactly like the original.
 func TestCodecRoundTrip(t *testing.T) {
-	col, ix := buildFixture(t)
+	col, _ := buildFixture(t)
+	ix := BuildSharded(col, 2, 1)
 
-	var w snapcodec.Writer
-	if err := ix.Encode(&w); err != nil {
-		t.Fatalf("Encode: %v", err)
+	shards := make([]*Shard, ix.NumShards())
+	for s := range shards {
+		sh, err := DecodeShard(snapcodec.NewReader(encodeShardBytes(t, ix, s)), col)
+		if err != nil {
+			t.Fatalf("DecodeShard(%d): %v", s, err)
+		}
+		shards[s] = sh
 	}
-	got, err := Decode(snapcodec.NewReader(w.Bytes()), col)
+	got, err := FromShards(col, shards)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("FromShards: %v", err)
 	}
 
 	if got.NumTerms() != ix.NumTerms() {
@@ -52,43 +58,56 @@ func TestCodecRoundTrip(t *testing.T) {
 		mustPhrasePostings(t, ix, []string{"united", "states"})) {
 		t.Error("phrase postings mismatch")
 	}
-
-	// Deterministic re-encode.
-	var w2 snapcodec.Writer
-	if err := got.Encode(&w2); err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(w.Bytes(), w2.Bytes()) {
-		t.Error("re-encoded bytes differ")
-	}
 }
 
+// TestCodecHostileInputs: refs naming documents outside the shard or the
+// collection are rejected at decode, and FromShards refuses a roster that
+// does not partition the collection.
 func TestCodecHostileInputs(t *testing.T) {
 	col := store.NewCollection()
 	if _, err := col.AddXML("doc0", []byte(`<a><b>hello world</b></a>`)); err != nil {
 		t.Fatal(err)
 	}
-	ix := Build(col)
-	var w snapcodec.Writer
-	if err := ix.Encode(&w); err != nil {
-		t.Fatalf("Encode: %v", err)
+
+	// A shard range beyond the collection.
+	var wr snapcodec.Writer
+	wr.Int(shardCodecV2)
+	wr.Int(0)
+	wr.Int(99)
+	wr.Int(0) // no terms
+	wr.Int(0) // no context terms
+	wr.Int(0) // empty roster
+	if _, err := DecodeShard(snapcodec.NewReader(wr.Bytes()), col); err == nil {
+		t.Error("shard range beyond the collection should fail")
 	}
-	data := w.Bytes()
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := Decode(snapcodec.NewReader(data[:cut]), col); err == nil {
-			t.Errorf("cut=%d: expected error", cut)
+
+	// A posting whose doc gap leaves the shard's range.
+	var wp snapcodec.Writer
+	wp.Int(shardCodecV2)
+	wp.Int(0)
+	wp.Int(1)
+	wp.Int(1) // one term
+	wp.Int(0) // shared prefix
+	wp.String("hello")
+	wp.Uvarint(0) // df 1, one posting
+	wp.Int(0)     // no context terms
+	wp.Int(0)     // empty roster
+	wp.Byte(byte(refEscGap<<6 | 1))
+	wp.Int(5) // doc gap 3+5 from lo
+	wp.Uvarint(1)
+	for _, decode := range []func(*snapcodec.Reader, *store.Collection) (*Shard, error){DecodeShard, DecodeShardPaged} {
+		if _, err := decode(snapcodec.NewReader(wp.Bytes()), col); err == nil {
+			t.Error("posting naming a document outside the shard should fail")
 		}
 	}
 
-	// A posting naming a document beyond the collection must be rejected.
-	var wb snapcodec.Writer
-	wb.Int(codecVersion)
-	wb.Int(1) // one term
-	wb.String("hello")
-	wb.Int(1) // doc freq
-	wb.Int(1) // one posting
-	wb.Int(99)
-	if _, err := Decode(snapcodec.NewReader(wb.Bytes()), col); err == nil {
-		t.Error("out-of-range document should fail")
+	// Shards that skip a document do not form an index.
+	ix := Build(col)
+	sh, err := DecodeShard(snapcodec.NewReader(encodeShardBytes(t, ix, 0)), col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromShards(col, []*Shard{sh, sh}); err == nil {
+		t.Error("overlapping shard roster should fail")
 	}
 }

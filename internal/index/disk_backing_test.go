@@ -22,7 +22,7 @@ import (
 // to a file, and binds the shard to it. The section is the whole file
 // (offset 0), which is all BackingRef needs — container framing is the
 // loader's business.
-func bindFixture(t *testing.T, wantMmap bool) (ix *Index, p *Pager, path string, payload []byte) {
+func bindFixture(t *testing.T) (ix *Index, p *Pager, path string, payload []byte) {
 	t.Helper()
 	_, ix = buildFixture(t)
 	if ix.NumShards() != 1 {
@@ -35,7 +35,7 @@ func bindFixture(t *testing.T, wantMmap bool) (ix *Index, p *Pager, path string,
 	}
 	p = NewPager(1)
 	ix.AttachPager(p)
-	b, err := OpenBacking(path, wantMmap)
+	b, err := OpenBacking(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +70,9 @@ func TestDiskBackingLifecycle(t *testing.T) {
 	}
 
 	// Binding drops the heap payload and flips the tier.
-	b, err := OpenBacking(path, false)
+	b, err := OpenBacking(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if b.Mode() != TierDisk {
-		t.Fatalf("Backing mode = %q, want %q", b.Mode(), TierDisk)
 	}
 	if err := ix.BindBacking(0, NewBackingRef(b, 0, len(payload), snapcodec.Checksum(payload))); err != nil {
 		t.Fatal(err)
@@ -130,7 +127,7 @@ func TestDiskBackingLifecycle(t *testing.T) {
 // disk-backed shard pay exactly one page-in and one disk read — the shard
 // mutex is the singleflight.
 func TestDiskBackingSingleflight(t *testing.T) {
-	ix, p, _, _ := bindFixture(t, false)
+	ix, p, _, _ := bindFixture(t)
 	sh := ix.shards[0]
 	want := mustLookup(t, ix, "united")
 	if !sh.tryEvict() {
@@ -176,7 +173,7 @@ func TestDiskBackingSingleflight(t *testing.T) {
 // panic, never a silently wrong answer — and restoring the file restores
 // service.
 func TestDiskBackingHostileStore(t *testing.T) {
-	ix, _, path, payload := bindFixture(t, false)
+	ix, _, path, payload := bindFixture(t)
 	sh := ix.shards[0]
 	want := mustLookup(t, ix, "united")
 
@@ -214,31 +211,5 @@ func TestDiskBackingHostileStore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("restored backstore served different postings")
-	}
-}
-
-// TestDiskBackingMmap: the mmap tier (where the platform provides it)
-// serves the same bytes through the mapping; elsewhere OpenBacking falls
-// back to pread and the test degenerates to the disk tier.
-func TestDiskBackingMmap(t *testing.T) {
-	ix, p, _, _ := bindFixture(t, true)
-	sh := ix.shards[0]
-	tier := sh.backingTier()
-	if tier != TierMmap && tier != TierDisk {
-		t.Fatalf("tier = %q, want %q or pread fallback %q", tier, TierMmap, TierDisk)
-	}
-	want := mustLookup(t, ix, "united")
-	if !sh.tryEvict() {
-		t.Fatal("tryEvict reported no transition")
-	}
-	got, err := ix.Lookup("united")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s-backed page-in served different postings", tier)
-	}
-	if st := p.Stats(); st.DiskReads == 0 {
-		t.Error("mmap page-in not counted as a disk read")
 	}
 }

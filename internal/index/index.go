@@ -197,8 +197,8 @@ func (sh *Shard) pageIn() (*shardData, error) {
 // backingTier names the shard's coldest available residency tier: where
 // its encoded payload would live after eviction.
 func (sh *Shard) backingTier() string {
-	if ref := sh.backing.Load(); ref != nil {
-		return ref.Tier()
+	if sh.backing.Load() != nil {
+		return TierDisk
 	}
 	return TierHeap
 }
@@ -569,7 +569,7 @@ type ShardStats struct {
 	Terms int
 	// Postings is the shard's total posting count.
 	Postings int
-	// Bytes is the shard's exact encoded (SEDASNAP v3 section) size: the
+	// Bytes is the shard's exact encoded (index.<n> section) size: the
 	// deterministic cost unit the resident-budget pager charges for the
 	// shard, derived from the encoded section rather than estimated.
 	Bytes int64
@@ -578,8 +578,8 @@ type ShardStats struct {
 	Resident bool
 	// Backing names the shard's coldest residency tier — where its encoded
 	// payload lives after eviction: TierHeap (in-heap encoded bytes, the
-	// only tier for built-not-yet-saved engines), TierDisk (pread from the
-	// snapshot file), or TierMmap (sliced from the mapped snapshot).
+	// only tier for built-not-yet-saved engines) or TierDisk (pread from
+	// the snapshot file).
 	Backing string
 	// Fetches counts term-match evaluations (scatter tasks) served by the
 	// shard since build or load — the scatter-fanout view of query load.

@@ -2,6 +2,8 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -103,41 +105,6 @@ func TestShardCodecV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardCodecLegacyStillDecodes: a shardCodecV1 payload (as SEDASNAP v2
-// containers carried) decodes to the same state under both entry points;
-// paged decodes of legacy payloads come up fully resident (no lazy block).
-func TestShardCodecLegacyStillDecodes(t *testing.T) {
-	col, _ := buildFixture(t)
-	ix := BuildSharded(col, 2, 1)
-	for s := 0; s < ix.NumShards(); s++ {
-		orig := ix.shards[s]
-		var w snapcodec.Writer
-		if err := ix.EncodeShardLegacy(&w, s); err != nil {
-			t.Fatalf("EncodeShardLegacy(%d): %v", s, err)
-		}
-		for _, decode := range []func(*snapcodec.Reader, *store.Collection) (*Shard, error){
-			DecodeShard, DecodeShardPaged,
-		} {
-			sh, err := decode(snapcodec.NewReader(w.Bytes()), col)
-			if err != nil {
-				t.Fatalf("shard %d: legacy decode: %v", s, err)
-			}
-			if sh.data.Load() == nil {
-				t.Fatalf("shard %d: legacy payload decoded cold", s)
-			}
-			if !reflect.DeepEqual(mustHot(t, sh).postings, mustHot(t, orig).postings) {
-				t.Errorf("shard %d: legacy postings differ", s)
-			}
-			if !reflect.DeepEqual(mustHot(t, sh).pathNodes, mustHot(t, orig).pathNodes) {
-				t.Errorf("shard %d: legacy path-node lists differ", s)
-			}
-			if !reflect.DeepEqual(sh.termDocFreq, orig.termDocFreq) {
-				t.Errorf("shard %d: legacy doc freqs differ", s)
-			}
-		}
-	}
-}
-
 // TestShardStatsExactBytes: the satellite replacing the old perPosting=64
 // estimator — ShardStats reports each shard's exact encoded payload size.
 func TestShardStatsExactBytes(t *testing.T) {
@@ -187,6 +154,20 @@ func TestShardCodecHostileInputs(t *testing.T) {
 			sh.hot()
 		}
 		_, _ = DecodeShard(snapcodec.NewReader(bad), col)
+	}
+
+	// Any other codec version — the retired uncompressed layout (1) or a
+	// future one — is a typed version error from both decoders.
+	for _, v := range []int{1, shardCodecV2 + 1} {
+		var w snapcodec.Writer
+		w.Int(v)
+		w.Raw(data[1:])
+		if _, err := DecodeShard(snapcodec.NewReader(w.Bytes()), col); !errors.Is(err, snapcodec.ErrVersion) {
+			t.Errorf("codec version %d: resident decode err = %v, want ErrVersion", v, err)
+		}
+		if _, err := DecodeShardPaged(snapcodec.NewReader(w.Bytes()), col); !errors.Is(err, snapcodec.ErrVersion) {
+			t.Errorf("codec version %d: paged decode err = %v, want ErrVersion", v, err)
+		}
 	}
 
 	// Alloc bombs: giant counts in a tiny payload must be rejected by the
@@ -250,7 +231,9 @@ func TestShardCodecHostileInputs(t *testing.T) {
 // invariant under fuzz: no input panics either decoder, and any input the
 // paged decoder accepts must survive a full page-in → evict → page-in
 // cycle (paged validation is what lets Shard.hot treat decode failure as
-// a programming error).
+// a programming error). Only the current shard codec version is ever
+// accepted; the checked-in testdata seed is a payload in the retired
+// uncompressed layout, which must be rejected.
 func FuzzShardDecode(f *testing.F) {
 	col := store.NewCollection()
 	if _, err := col.AddXML("doc0", []byte(`<a><b>hello world hello</b><c>world</c></a>`)); err != nil {
@@ -265,17 +248,22 @@ func FuzzShardDecode(f *testing.F) {
 		ix.EncodeShard(&w, s)
 		f.Add(w.Bytes())
 		f.Add(w.Bytes()[:len(w.Bytes())/2])
-		var lw snapcodec.Writer
-		ix.EncodeShardLegacy(&lw, s)
-		f.Add(lw.Bytes())
+		f.Add(append([]byte{shardCodecV2 + 1}, w.Bytes()[1:]...)) // a version the decoders reject
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 2, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		current := func() {
+			if v, n := binary.Uvarint(data); n <= 0 || v != shardCodecV2 {
+				t.Fatalf("decoder accepted a payload of shard codec version %d", v)
+			}
+		}
 		if sh, err := DecodeShard(snapcodec.NewReader(data), col); err == nil {
+			current()
 			sh.hot()
 		}
 		if sh, err := DecodeShardPaged(snapcodec.NewReader(data), col); err == nil {
+			current()
 			sh.hot()
 			sh.tryEvict()
 			sh.hot()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -276,27 +277,25 @@ func TestPersistFailureIsObservable(t *testing.T) {
 // TestV1StreamInDataDir: a v1 collection.gob dropped into the data dir as
 // <name>.snap must NOT be rebuilt under guessed defaults — it carries no
 // construction config, and for corpora needing custom link discovery a
-// guess would be silently wrong and then persisted. It errors on use;
-// re-registering the name from source recovers and upgrades the file to
-// real snapshot format.
+// guess would be silently wrong and then persisted. It errors on use with
+// ErrNotSnapshot; re-registering the name from source recovers and
+// upgrades the file to real snapshot format.
 func TestV1StreamInDataDir(t *testing.T) {
 	dir := t.TempDir()
-	col := testCollection(t)
-	f, err := os.Create(filepath.Join(dir, "legacy.snap"))
+	gob, err := os.ReadFile(filepath.Join("..", "core", "testdata", "legacy", "collection.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Save(f); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "legacy.snap"), gob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
 	r1 := NewRegistry()
 	if _, err := r1.EnableSnapshots(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.Engine("legacy"); err == nil {
-		t.Fatal("v1 stream without a source must not serve from boot discovery")
+	if _, err := r1.Engine("legacy"); !errors.Is(err, core.ErrNotSnapshot) {
+		t.Fatalf("v1 stream from boot discovery: err = %v, want ErrNotSnapshot", err)
 	}
 	if got := r1.List()[0].State; got != StateCold {
 		t.Errorf("state after refused load = %q, want %q", got, StateCold)

@@ -113,19 +113,15 @@ func (e *regEntry) engineLocked(r *Registry) (*core.Engine, error) {
 	}
 	if e.discovered {
 		// Boot-discovered entry: the snapshot file IS the source, and a
-		// real snapshot is required. A v1 collection stream carries no
-		// construction config, so rebuilding it here would silently guess
-		// (wrong link discovery for corpora like mondial) and then persist
-		// that guess — refuse instead; re-registering the name from its
-		// source, or converting the file, recovers.
-		if ok, serr := core.SniffSnapshotFile(e.snapshotPath); serr != nil {
-			return nil, serr
-		} else if !ok {
-			return nil, fmt.Errorf("server: %s is not an engine snapshot (v1 collection streams carry no construction config); re-register collection %q from its source, or convert the file with `sedagen -snapshot` or the REPL's \\save", e.snapshotPath, e.name)
-		}
+		// current snapshot is required. Anything else — a retired format
+		// (ErrNotSnapshot, snapcodec.ErrVersion) or a corrupt file — carries
+		// no trustworthy construction config, so rebuilding here would
+		// silently guess (wrong link discovery for corpora like mondial)
+		// and then persist that guess. Refuse instead; re-registering the
+		// name from its source rebuilds and replaces the file.
 		le, err := core.LoadEngineAuto(e.snapshotPath, e.cfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("server: collection %q: %w; re-register it from its source to rebuild the snapshot", e.name, err)
 		}
 		e.adoptLocked(le.Engine, true)
 		r.observeEngine(le.Engine, "load")
@@ -205,11 +201,6 @@ type Registry struct {
 	// registrations carry their budget in their own config. 0 = fully
 	// resident. Set it before serving.
 	ResidentBudget int64
-
-	// Backing selects the paging backstore for budgeted engines loaded
-	// from snapshots (see core.BackingMode; the zero value pages from the
-	// snapshot file, core.BackingMmap maps it). Set it before serving.
-	Backing core.BackingMode
 
 	// CompactThreshold triggers background compaction: when a delete or
 	// update leaves an entry's tombstone ratio (masked / total documents)
@@ -318,7 +309,7 @@ func (r *Registry) EnableSnapshots(dir string, parallelism int) ([]string, error
 			name:         name,
 			snapshotPath: filepath.Join(dir, f.Name()),
 			discovered:   true,
-			cfg:          core.Config{Parallelism: parallelism, ResidentBudget: r.ResidentBudget, Backing: r.Backing},
+			cfg:          core.Config{Parallelism: parallelism, ResidentBudget: r.ResidentBudget},
 		}
 		if fi, err := f.Info(); err == nil {
 			e.snapshotBytes.Store(fi.Size())
@@ -685,8 +676,7 @@ type ShardInfo struct {
 	// is touched and evicted).
 	Resident bool `json:"resident"`
 	// Backing is the shard's residency tier when evicted: "heap" (encoded
-	// payload on the Go heap), "disk" (paged in from the snapshot file),
-	// or "mmap" (sliced from a mapping of it).
+	// payload on the Go heap) or "disk" (paged in from the snapshot file).
 	Backing string `json:"backing"`
 	// Fetches counts term-fetch tasks the top-k scatter has sent to this
 	// shard since it was built or loaded (runtime state, not persisted) —

@@ -106,12 +106,6 @@ type Options struct {
 	// in on first touch and evicts the least-recently-used past the
 	// budget. Answers are identical at any setting.
 	ResidentBudget int64
-	// Mmap memory-maps snapshot files for disk-backed shard paging
-	// (core.BackingMmap) instead of positional reads. Platforms without
-	// mmap support silently fall back to pread; without a backing
-	// snapshot the engine pages from the heap as before. Answers are
-	// identical either way.
-	Mmap bool
 	// AccessLog, when non-nil, receives one line per completed request:
 	// remote address, method, path, status, duration, and request id.
 	AccessLog *log.Logger
@@ -189,9 +183,6 @@ func New(opts Options) *Server {
 		reg.MaxEntries = opts.MaxCollections
 	}
 	reg.ResidentBudget = opts.ResidentBudget
-	if opts.Mmap {
-		reg.Backing = core.BackingMmap
-	}
 	s := &Server{
 		opts:      opts,
 		registry:  reg,
@@ -489,7 +480,6 @@ func (s *Server) handleCreateCollection(w http.ResponseWriter, r *http.Request) 
 		Parallelism:        par,
 		Shards:             shards,
 		ResidentBudget:     budget,
-		Backing:            s.registry.Backing,
 	}
 	var err error
 	switch {

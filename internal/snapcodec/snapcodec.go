@@ -21,8 +21,8 @@ var (
 	// ErrNotSnapshot reports a stream that does not start with Magic —
 	// likely a v1 collection.gob or an unrelated file.
 	ErrNotSnapshot = errors.New("snapcodec: not an engine snapshot (bad magic)")
-	// ErrVersion reports a container format version newer than this build
-	// understands.
+	// ErrVersion reports a format version this build does not read: a
+	// newer one, or a retired older one.
 	ErrVersion = errors.New("snapcodec: unsupported snapshot format version")
 	// ErrCorrupt reports a truncated stream, an invalid length, or a
 	// checksum mismatch.
@@ -280,7 +280,7 @@ func (r *Reader) Dewey() dewey.ID {
 // ReadContainer and ScanSections additionally report where the payload
 // sits in the container stream (Offset/Size) and its stored CRC, so a
 // disk-backed loader can hand each index shard a backing ref and re-read
-// the section later with pread or mmap.
+// the section later with pread.
 type Section struct {
 	Name    string
 	Payload []byte // nil for ScanSections (header-only scan)

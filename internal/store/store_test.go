@@ -1,13 +1,14 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"seda/internal/dewey"
+	"seda/internal/pathdict"
+	"seda/internal/snapcodec"
 	"seda/internal/xmldoc"
 )
 
@@ -129,11 +130,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		`<country code="us"><name>United States</name><economy><GDP>10T</GDP></economy></country>`,
 		`<sea><name>Pacific Ocean</name><depth>10911</depth></sea>`,
 	)
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := persistRoundTrip(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +151,28 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
+// persistRoundTrip encodes c the way an engine snapshot does (dictionary
+// layer, then collection layer) and decodes both back.
+func persistRoundTrip(c *Collection) (*Collection, error) {
+	dictBytes, colBytes := encodeBoth(c)
+	dict, err := pathdict.Decode(snapcodec.NewReader(dictBytes))
+	if err != nil {
+		return nil, err
+	}
+	return Decode(snapcodec.NewReader(colBytes), dict)
+}
+
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("garbage"))); err == nil {
+	dict := NewCollection().Dict()
+	if _, err := Decode(snapcodec.NewReader([]byte("garbage")), dict); err == nil {
 		t.Error("loading garbage should fail")
 	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, err := Decode(snapcodec.NewReader(nil), dict); err == nil {
 		t.Error("loading empty stream should fail")
 	}
 }
 
-// Property: save→load preserves per-path statistics for random collections.
+// Property: an encode→decode round trip preserves per-path statistics for random collections.
 func TestPropPersistencePreservesStats(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -173,11 +182,7 @@ func TestPropPersistencePreservesStats(t *testing.T) {
 			doc := xmldoc.Build(fmt.Sprintf("d%d", i), randomTree(r, 0), c.Dict())
 			c.AddDocument(doc)
 		}
-		var buf bytes.Buffer
-		if c.Save(&buf) != nil {
-			return false
-		}
-		got, err := Load(&buf)
+		got, err := persistRoundTrip(c)
 		if err != nil {
 			return false
 		}

@@ -158,14 +158,11 @@ const MaxShards = server.MaxShards
 // Backing modes for Config.Backing. BackingAuto (the zero value) pages
 // evicted shards from the snapshot file when the engine has one and from
 // the heap otherwise; BackingHeap forces in-heap payloads; BackingDisk
-// forces positional reads; BackingMmap maps the snapshot and falls back
-// to positional reads where the platform lacks mmap. Answers are
-// byte-identical under every mode.
+// forces positional reads. Answers are byte-identical under every mode.
 const (
 	BackingAuto = core.BackingAuto
 	BackingHeap = core.BackingHeap
 	BackingDisk = core.BackingDisk
-	BackingMmap = core.BackingMmap
 )
 
 // NewServer returns an http.Handler serving the SEDA exploration API.
@@ -182,16 +179,13 @@ func NewEngine(col *Collection, cfg Config) (*Engine, error) {
 // (*Collection).AddXML or (*Collection).AddDocument.
 func NewCollection() *Collection { return store.NewCollection() }
 
-// LoadCollection reads a collection saved with (*Collection).Save.
-func LoadCollection(r io.Reader) (*Collection, error) { return store.Load(r) }
-
 // Engine snapshots: every derived layer of an engine — path dictionary,
 // collection with statistics, full-text indexes, link graph, dataguide
 // summary — persisted as one versioned, checksummed container, so a
 // process restart costs O(read) instead of O(rebuild).
 
-// LoadedEngine is the result of LoadEngineAuto: the engine plus where it
-// came from (snapshot vs a rebuilt v1 collection stream).
+// LoadedEngine is the result of LoadEngineAuto: the engine plus the config
+// and source tag the snapshot stores.
 type LoadedEngine = core.LoadedEngine
 
 // ErrSnapshotConfigMismatch reports an engine snapshot built under a
@@ -216,11 +210,12 @@ func LoadEngineFile(path string, cfg Config) (*Engine, error) {
 	return core.LoadEngineFile(path, cfg, "")
 }
 
-// LoadEngineAuto loads an engine from path adopting the snapshot's stored
-// config; a v1 collection stream (written by (*Collection).Save) is
-// rebuilt under fallback instead.
-func LoadEngineAuto(path string, fallback Config) (*LoadedEngine, error) {
-	return core.LoadEngineAuto(path, fallback)
+// LoadEngineAuto loads an engine snapshot from path adopting its stored
+// config; env supplies only Parallelism, ResidentBudget and Backing.
+// Anything but a current snapshot is an error, and the caller rebuilds
+// from source.
+func LoadEngineAuto(path string, env Config) (*LoadedEngine, error) {
+	return core.LoadEngineAuto(path, env)
 }
 
 // LoadXMLDir loads every *.xml file under dir (sorted for determinism)
