@@ -1,7 +1,7 @@
 GO ?= go
 SCALE ?= 0.05
 
-.PHONY: build test bench bench-smoke bench-coldstart bench-ingest bench-shards bench-memory bench-lifecycle bench-serve metrics-smoke serve vet fmt-check lint fuzz-smoke vuln
+.PHONY: build test bench bench-smoke bench-record metrics-smoke serve vet fmt-check lint fuzz-smoke vuln
 
 build:
 	$(GO) build ./...
@@ -44,11 +44,12 @@ vuln:
 test: vet fmt-check lint
 	$(GO) test -race ./...
 
-# Micro-benchmarks plus the paper-experiment harness; the harness leaves
-# machine-readable BENCH_<name>.json files at the repo root.
+# Micro-benchmarks plus the sedabench experiment harness at $(SCALE). The
+# harness's BENCH files go to a temp dir: only bench-record refreshes the
+# checked-in ones.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
-	$(GO) run ./cmd/sedabench -scale $(SCALE)
+	$(GO) run ./cmd/sedabench -scale $(SCALE) -out "$$(mktemp -d)"
 
 # Fast perf canary: one sedabench pass at a small scale so perf regressions
 # and BENCH-writer breakage surface on every PR (this includes the
@@ -58,45 +59,12 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/sedabench -scale 0.05 -out "$$(mktemp -d)"
 
-# Cold-start benchmark: build-from-XML vs load-from-snapshot per builtin
-# corpus, refreshing the checked-in BENCH_coldstart.json (scale 0.1, like
-# the rest of the BENCH trajectory).
-bench-coldstart:
-	$(GO) run ./cmd/sedabench -exp coldstart -scale 0.1
-
-# Ingest benchmark: incremental single-document add vs full engine rebuild
-# per builtin corpus, refreshing the checked-in BENCH_ingest.json (scale
-# 0.1, like the rest of the BENCH trajectory).
-bench-ingest:
-	$(GO) run ./cmd/sedabench -exp ingest -scale 0.1
-
-# Sharding benchmark: 1-shard vs multi-shard engine build and snapshot
-# load per builtin corpus, refreshing the checked-in BENCH_shards.json
-# (scale 0.1, like the rest of the BENCH trajectory). The multi-shard
-# columns improve with GOMAXPROCS; single-core boxes record parity.
-bench-shards:
-	$(GO) run ./cmd/sedabench -exp shards -scale 0.1
-
-# Memory benchmark: compressed shard-section bytes, plus resident heap and
-# query latency percentiles at resident budgets of 100%/50%/25% of the
-# index size under the heap and disk backings, refreshing the checked-in
-# BENCH_memory.json (scale 0.1, like the rest of the BENCH trajectory).
-bench-memory:
-	$(GO) run ./cmd/sedabench -exp memory -scale 0.1
-
-# Lifecycle benchmark: single-document delete/update latency, compaction
-# throughput at ~30% tombstones, and masked-vs-compacted query p50 per
-# builtin corpus, refreshing the checked-in BENCH_lifecycle.json (scale
-# 0.1, like the rest of the BENCH trajectory).
-bench-lifecycle:
-	$(GO) run ./cmd/sedabench -exp lifecycle -scale 0.1
-
-# Serving-tier benchmark: open-loop HTTP latency percentiles (p50/p95/p99)
-# against a live in-process sedad surface, refreshing the checked-in
-# BENCH_serve.json (scale 0.1, like the rest of the BENCH trajectory).
-# The run also validates the end-of-run /metrics exposition.
-bench-serve:
-	$(GO) run ./cmd/sedabench -exp serve -scale 0.1
+# Refreshes every checked-in BENCH_<name>.json at the repo root. The
+# trajectory is recorded at scale 0.1, so this is its only sanctioned
+# writer. Refresh one experiment with
+#   go run ./cmd/sedabench -exp NAME -scale 0.1
+bench-record:
+	$(GO) run ./cmd/sedabench -scale 0.1
 
 # Boots sedad, drives one traced query, scrapes /metrics, and fails on an
 # unparseable exposition or missing metric families (via promcheck). CI

@@ -1,9 +1,8 @@
 package seda
 
-// Benchmark harness: one benchmark per paper artifact (see DESIGN.md's
-// experiment index). Corpora are scaled down so iterations stay tractable;
-// cmd/sedabench runs the full-scale, single-shot versions that print the
-// paper's tables. Reported custom metrics (guides, tuples, rows) let the
+// Benchmark harness: one benchmark per paper artifact. Corpora are scaled
+// down so iterations stay tractable; cmd/sedabench runs the single-shot
+// versions that print the paper's tables. Reported custom metrics (guides, tuples, rows) let the
 // shape of each result be read straight off the benchmark output.
 
 import (

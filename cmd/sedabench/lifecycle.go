@@ -13,10 +13,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -29,26 +26,12 @@ import (
 // `sedabench -exp all` fast.
 const lifecycleQueryRounds = 20
 
-func lifecycleExp(scale float64) *lifecycleResult {
-	res := &lifecycleResult{Name: "lifecycle", Scale: scale, Env: currentEnv()}
+func lifecycleExp(scale float64) []lifecycleCorpus {
+	var rows []lifecycleCorpus
 	fmt.Printf("%-16s %8s %12s %12s %14s %12s %12s\n",
 		"corpus", "docs", "delete", "update", "compact", "masked p50", "compacted p50")
-	for _, c := range []struct {
-		name string
-		gen  func(float64) *seda.Collection
-		cfg  seda.Config
-	}{
-		{"worldfactbook", seda.WorldFactbook, seda.Config{}},
-		{"mondial", seda.Mondial, seda.MondialConfig()},
-		{"googlebase", seda.GoogleBase, seda.Config{}},
-		{"recipeml", seda.RecipeML, seda.Config{}},
-	} {
-		cfg := c.cfg
-		cfg.Parallelism = parallelism
-		cfg.Shards = shardCount
-
-		source := c.gen(scale)
-		eng, err := seda.NewEngine(source, cfg)
+	for _, c := range corpora {
+		eng, err := seda.NewEngine(c.gen(scale), c.cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -114,9 +97,9 @@ func lifecycleExp(scale float64) *lifecycleResult {
 			fmt.Sprintf("%v (%.0f docs/s)", time.Duration(row.CompactNs).Round(time.Millisecond), row.CompactDocsPerSec),
 			time.Duration(row.MaskedP50Ns).Round(time.Microsecond),
 			time.Duration(row.CompactedP50Ns).Round(time.Microsecond))
-		res.Corpora = append(res.Corpora, row)
+		rows = append(rows, row)
 	}
-	return res
+	return rows
 }
 
 // lifecycleP50 runs the derived query set against one engine generation
@@ -152,27 +135,4 @@ type lifecycleCorpus struct {
 	CompactDocsPerSec float64 `json:"compact_docs_per_sec"` // survivors rewritten per second
 	MaskedP50Ns       int64   `json:"masked_p50_ns"`        // query p50 with tombstones consulted
 	CompactedP50Ns    int64   `json:"compacted_p50_ns"`     // query p50 after the rewrite
-}
-
-// lifecycleResult extends the benchResult shape with per-corpus
-// delete/update/compaction numbers.
-type lifecycleResult struct {
-	Name    string            `json:"name"`
-	Scale   float64           `json:"scale"`
-	NsPerOp int64             `json:"ns_per_op"`
-	Env     benchEnv          `json:"env"`
-	Corpora []lifecycleCorpus `json:"corpora"`
-}
-
-func writeLifecycleResult(dir string, r *lifecycleResult) {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_lifecycle.json")
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "sedabench: writing %s: %v\n", path, err)
-		return
-	}
-	fmt.Printf("wrote %s\n\n", path)
 }

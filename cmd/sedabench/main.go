@@ -1,21 +1,25 @@
-// Command sedabench regenerates every table and figure of the paper's
-// evaluation at full scale and prints paper-vs-measured comparisons. It is
-// the one-shot companion to the root bench_test.go micro-benchmarks; its
-// output is the source for EXPERIMENTS.md.
+// Command sedabench reproduces the paper's evaluation (Table 1, Figure 3,
+// the in-text corpus statistics, the threshold sweep and the ablations)
+// and the later engine experiments (coldstart, ingest, shards, memory,
+// lifecycle), printing paper-vs-measured comparisons. It is the
+// single-shot companion to the root bench_test.go micro-benchmarks.
 //
-// Each experiment additionally writes a machine-readable result file
-// BENCH_<name>.json (wall ns/op, allocations) into -out (default the
-// current directory, i.e. the repo root when run as `go run
-// ./cmd/sedabench`), giving successive revisions a perf trajectory to
-// compare against.
+// Every experiment also leaves one machine-readable record,
+// BENCH_<name>.json, in -out (default the current directory, i.e. the
+// repo root when run as `go run ./cmd/sedabench`): wall time,
+// allocations, the environment and, for the engine experiments, one row
+// per corpus. The checked-in records are taken at -scale 0.1 by
+// `make bench-record`.
 //
 // Usage:
 //
-//	sedabench                  # all experiments at full scale
+//	sedabench                  # all experiments at paper size (-scale 1)
 //	sedabench -exp table1      # one experiment
-//	sedabench -scale 0.2       # scaled corpora (faster, shapes preserved)
+//	sedabench -scale 0.1       # scaled corpora (faster, shapes preserved)
 //	sedabench -out ""          # skip the BENCH_*.json files
-//	sedabench -parallelism 1   # sequential builds/searches (perf baseline)
+//
+// Builds and searches use every core; `GOMAXPROCS=1 sedabench` is the
+// sequential baseline.
 package main
 
 import (
@@ -26,6 +30,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"seda"
@@ -37,138 +43,85 @@ import (
 	"seda/internal/topk"
 )
 
+// experiments is every experiment in run order. run returns the
+// per-corpus rows of its record, or nil for the paper experiments, which
+// only print.
+var experiments = []struct {
+	name string
+	run  func(scale float64) any
+}{
+	{"table1", printOnly(table1)},
+	{"intext", printOnly(inText)},
+	{"sweep", printOnly(sweep)},
+	{"figure3", printOnly(figure3)},
+	{"controlflow", printOnly(controlFlow)},
+	{"ablations", printOnly(ablations)},
+	{"coldstart", func(scale float64) any { return coldstart(scale) }},
+	{"ingest", func(scale float64) any { return ingest(scale) }},
+	{"shards", func(scale float64) any { return shardsExp(scale) }},
+	{"memory", func(scale float64) any { return memoryExp(scale) }},
+	{"lifecycle", func(scale float64) any { return lifecycleExp(scale) }},
+}
+
+// printOnly adapts a paper experiment, which records no rows, to the table.
+func printOnly(fn func(float64)) func(float64) any {
+	return func(scale float64) any { fn(scale); return nil }
+}
+
+// corpora is the builtin corpus roster the engine experiments (and the
+// threshold sweep) iterate, each with the engine config it is served with.
+var corpora = []struct {
+	name string
+	gen  func(float64) *seda.Collection
+	cfg  seda.Config
+}{
+	{"worldfactbook", seda.WorldFactbook, seda.Config{}},
+	{"mondial", seda.Mondial, seda.MondialConfig()},
+	{"googlebase", seda.GoogleBase, seda.Config{}},
+	{"recipeml", seda.RecipeML, seda.Config{}},
+}
+
+// multiShards is the multi-shard layout the shards and memory
+// experiments measure.
+const multiShards = 4
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|figure3|controlflow|intext|sweep|ablations|coldstart|ingest|shards|memory|lifecycle|serve|all")
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
 	scale := flag.Float64("scale", 1.0, "corpus scale (1.0 = paper size)")
 	out := flag.String("out", ".", "directory for BENCH_<name>.json result files (empty disables)")
-	par := flag.Int("parallelism", 0, "worker goroutines for engine builds and searches (0 = all cores, 1 = sequential)")
-	shardsFlag := flag.Int("shards", 0, "horizontal index shards per engine (0 = single shard); the shards experiment compares 1 against max(this, 4)")
 	flag.Parse()
-	if *par < 0 {
-		fmt.Fprintln(os.Stderr, "sedabench: -parallelism must be >= 0")
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "sedabench: unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
-	if *shardsFlag < 0 {
-		fmt.Fprintln(os.Stderr, "sedabench: -shards must be >= 0")
-		os.Exit(2)
-	}
-	parallelism = *par
-	shardCount = *shardsFlag
 
-	run := func(name string, fn func(float64)) {
-		if *exp == "all" || *exp == name {
-			fmt.Printf("==== %s ====\n", name)
-			var m0, m1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			start := time.Now()
-			fn(*scale)
-			elapsed := time.Since(start)
-			runtime.ReadMemStats(&m1)
-			fmt.Printf("(%s in %v)\n\n", name, elapsed.Round(time.Millisecond))
-			if *out != "" {
-				writeBenchResult(*out, benchResult{
-					Name:       name,
-					Scale:      *scale,
-					NsPerOp:    elapsed.Nanoseconds(),
-					Allocs:     m1.Mallocs - m0.Mallocs,
-					AllocBytes: m1.TotalAlloc - m0.TotalAlloc,
-					Env:        currentEnv(),
-				})
-			}
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-	}
-	run("table1", table1)
-	run("intext", inText)
-	run("sweep", sweep)
-	run("figure3", figure3)
-	run("controlflow", controlFlow)
-	run("ablations", ablations)
-	// coldstart writes a richer per-corpus BENCH file (build vs load), so
-	// it manages its own result file instead of going through run().
-	if *exp == "all" || *exp == "coldstart" {
-		fmt.Println("==== coldstart ====")
+		fmt.Printf("==== %s ====\n", e.name)
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		res := coldstart(*scale)
-		res.NsPerOp = time.Since(start).Nanoseconds()
-		fmt.Printf("(coldstart in %v)\n\n", time.Since(start).Round(time.Millisecond))
+		rows := e.run(*scale)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&m1)
+		fmt.Printf("(%s in %v)\n\n", e.name, elapsed.Round(time.Millisecond))
 		if *out != "" {
-			writeColdstartResult(*out, res)
-		}
-	}
-
-	// ingest writes a richer per-corpus BENCH file (incremental add vs full
-	// rebuild), so it manages its own result file too.
-	if *exp == "all" || *exp == "ingest" {
-		fmt.Println("==== ingest ====")
-		start := time.Now()
-		res := ingest(*scale)
-		res.NsPerOp = time.Since(start).Nanoseconds()
-		fmt.Printf("(ingest in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if *out != "" {
-			writeIngestResult(*out, res)
-		}
-	}
-
-	// shards writes a richer per-corpus BENCH file (1-shard vs multi-shard
-	// build and snapshot load), so it manages its own result file too.
-	if *exp == "all" || *exp == "shards" {
-		fmt.Println("==== shards ====")
-		start := time.Now()
-		res := shardsExp(*scale)
-		res.NsPerOp = time.Since(start).Nanoseconds()
-		fmt.Printf("(shards in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if *out != "" {
-			writeShardsResult(*out, res)
-		}
-	}
-
-	// memory measures the compressed shard-section bytes and the
-	// paged-residency memory/latency trade per corpus, so it manages its
-	// own result file.
-	if *exp == "all" || *exp == "memory" {
-		fmt.Println("==== memory ====")
-		start := time.Now()
-		res := memoryExp(*scale)
-		res.NsPerOp = time.Since(start).Nanoseconds()
-		fmt.Printf("(memory in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if *out != "" {
-			writeMemoryResult(*out, res)
-		}
-	}
-
-	// lifecycle measures delete/update latency, compaction throughput, and
-	// masked-vs-compacted query p50 per corpus; it manages its own file.
-	if *exp == "all" || *exp == "lifecycle" {
-		fmt.Println("==== lifecycle ====")
-		start := time.Now()
-		res := lifecycleExp(*scale)
-		res.NsPerOp = time.Since(start).Nanoseconds()
-		fmt.Printf("(lifecycle in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if *out != "" {
-			writeLifecycleResult(*out, res)
-		}
-	}
-
-	// serve measures the HTTP tier under open-loop load and validates the
-	// /metrics exposition; it writes percentile fields of its own.
-	if *exp == "all" || *exp == "serve" {
-		fmt.Println("==== serve ====")
-		start := time.Now()
-		res := serveExp(*scale)
-		res.NsPerOp = time.Since(start).Nanoseconds()
-		fmt.Printf("(serve in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if *out != "" {
-			writeServeResult(*out, res)
-		}
-	}
-
-	if *exp != "all" {
-		switch *exp {
-		case "table1", "intext", "sweep", "figure3", "controlflow", "ablations", "coldstart", "ingest", "shards", "memory", "lifecycle", "serve":
-		default:
-			fmt.Fprintf(os.Stderr, "sedabench: unknown experiment %q\n", *exp)
-			os.Exit(2)
+			check(writeRecord(*out, record{
+				Name:       e.name,
+				Scale:      *scale,
+				NsPerOp:    elapsed.Nanoseconds(),
+				Allocs:     m1.Mallocs - m0.Mallocs,
+				AllocBytes: m1.TotalAlloc - m0.TotalAlloc,
+				Env:        currentEnv(),
+				Corpora:    rows,
+			}))
 		}
 	}
 }
@@ -190,7 +143,7 @@ func table1(scale float64) {
 	fmt.Printf("%-22s %12s %12s %14s %14s\n", "Data set", "# docs", "paper docs", "# data guides", "paper guides")
 	for _, r := range rows {
 		col := r.gen(scale)
-		dg, err := dataguide.BuildParallel(col, nil, 0.40, parallelism)
+		dg, err := dataguide.BuildParallel(col, nil, 0.40, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -201,7 +154,7 @@ func table1(scale float64) {
 // inText reproduces the §1/§2 corpus statistics on World Factbook.
 func inText(scale float64) {
 	col := seda.WorldFactbook(scale)
-	ix := index.BuildParallel(col, parallelism)
+	ix := index.BuildParallel(col, 0)
 	dict := col.Dict()
 	fmt.Printf("%-52s %10s %10s\n", "Statistic", "measured", "paper")
 	fmt.Printf("%-52s %10d %10d\n", "documents", col.NumDocs(), 1600)
@@ -224,19 +177,11 @@ func sweep(scale float64) {
 		fmt.Printf(" %8.1f", th)
 	}
 	fmt.Println()
-	for _, c := range []struct {
-		name string
-		gen  func(float64) *seda.Collection
-	}{
-		{"World Factbook", seda.WorldFactbook},
-		{"Mondial", seda.Mondial},
-		{"Google Base", seda.GoogleBase},
-		{"RecipeML", seda.RecipeML},
-	} {
+	for _, c := range corpora {
 		col := c.gen(scale)
 		fmt.Printf("%-22s", c.name)
 		for _, th := range ths {
-			dg, err := dataguide.BuildParallel(col, nil, th, parallelism)
+			dg, err := dataguide.BuildParallel(col, nil, th, 0)
 			if err != nil {
 				fatal(err)
 			}
@@ -247,18 +192,10 @@ func sweep(scale float64) {
 	fmt.Println("paper: unmerged WFB = 1600 guides; reduction 3x (WFB) to 100x (Google Base) at 0.4")
 }
 
-// parallelism is the -parallelism flag: the worker-pool width for engine
-// builds and top-k searches (0 = all cores).
-var parallelism int
-
-// shardCount is the -shards flag: horizontal index shards per engine
-// (0 = single shard).
-var shardCount int
-
 // wfbEngineWithCatalog builds the full-scale engine + Figure 3(b) catalog.
 func wfbEngineWithCatalog(scale float64) *seda.Engine {
 	col := seda.WorldFactbook(scale)
-	eng, err := seda.NewEngine(col, seda.Config{Parallelism: parallelism, Shards: shardCount})
+	eng, err := seda.NewEngine(col, seda.Config{})
 	if err != nil {
 		fatal(err)
 	}
@@ -378,7 +315,7 @@ func ablations(scale float64) {
 	searcher := topk.New(eng.Index(), eng.Graph())
 	for _, contentOnly := range []bool{false, true} {
 		start := time.Now()
-		rs, err := searcher.Search(q, topk.Options{K: 10, ContentOnly: contentOnly, Parallelism: parallelism})
+		rs, err := searcher.Search(q, topk.Options{K: 10, ContentOnly: contentOnly})
 		if err != nil {
 			fatal(err)
 		}
@@ -428,8 +365,8 @@ func ablations(scale float64) {
 // cost before engine snapshots) versus load one snapshot from disk. Both
 // paths start from bytes — rendered XML documents, or the snapshot file —
 // and end with a serving-ready engine.
-func coldstart(scale float64) *coldstartResult {
-	res := &coldstartResult{Name: "coldstart", Scale: scale, Env: currentEnv()}
+func coldstart(scale float64) []coldstartCorpus {
+	var rows []coldstartCorpus
 	tmp, err := os.MkdirTemp("", "seda-coldstart-*")
 	if err != nil {
 		fatal(err)
@@ -437,20 +374,7 @@ func coldstart(scale float64) *coldstartResult {
 	defer os.RemoveAll(tmp)
 
 	fmt.Printf("%-16s %14s %14s %10s %14s\n", "corpus", "build-from-XML", "load-snapshot", "speedup", "snapshot bytes")
-	for _, c := range []struct {
-		name string
-		gen  func(float64) *seda.Collection
-		cfg  seda.Config
-	}{
-		{"worldfactbook", seda.WorldFactbook, seda.Config{}},
-		{"mondial", seda.Mondial, seda.MondialConfig()},
-		{"googlebase", seda.GoogleBase, seda.Config{}},
-		{"recipeml", seda.RecipeML, seda.Config{}},
-	} {
-		cfg := c.cfg
-		cfg.Parallelism = parallelism
-		cfg.Shards = shardCount
-
+	for _, c := range corpora {
 		// Setup (untimed): render the corpus to XML bytes and write the
 		// snapshot the load path will read.
 		source := c.gen(scale)
@@ -466,7 +390,7 @@ func coldstart(scale float64) *coldstartResult {
 			}
 			raw = append(raw, rawDoc{name: doc.Name, xml: b.Bytes()})
 		}
-		eng, err := seda.NewEngine(source, cfg)
+		eng, err := seda.NewEngine(source, c.cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -487,7 +411,7 @@ func coldstart(scale float64) *coldstartResult {
 				fatal(err)
 			}
 		}
-		built, err := seda.NewEngine(col, cfg)
+		built, err := seda.NewEngine(col, c.cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -495,7 +419,7 @@ func coldstart(scale float64) *coldstartResult {
 
 		// Path 2: cold start from the snapshot.
 		start = time.Now()
-		loaded, err := seda.LoadEngineAuto(snap, cfg)
+		loaded, err := seda.LoadEngineAuto(snap, c.cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -509,12 +433,12 @@ func coldstart(scale float64) *coldstartResult {
 			time.Duration(buildNs).Round(time.Microsecond),
 			time.Duration(loadNs).Round(time.Microsecond),
 			speedup, fi.Size())
-		res.Corpora = append(res.Corpora, coldstartCorpus{
+		rows = append(rows, coldstartCorpus{
 			Name: c.name, BuildNs: buildNs, LoadNs: loadNs,
 			Speedup: speedup, SnapshotBytes: fi.Size(),
 		})
 	}
-	return res
+	return rows
 }
 
 // ingest compares appending a single document to a live engine
@@ -524,23 +448,10 @@ func coldstart(scale float64) *coldstartResult {
 // incremental ingest. Both paths start from the same parsed base corpus;
 // the incremental side additionally pays the XML parse of the new
 // document, which is the serving tier's real workload.
-func ingest(scale float64) *ingestResult {
-	res := &ingestResult{Name: "ingest", Scale: scale, Env: currentEnv()}
+func ingest(scale float64) []ingestCorpus {
+	var rows []ingestCorpus
 	fmt.Printf("%-16s %8s %14s %14s %10s\n", "corpus", "docs", "add-one-doc", "full-rebuild", "speedup")
-	for _, c := range []struct {
-		name string
-		gen  func(float64) *seda.Collection
-		cfg  seda.Config
-	}{
-		{"worldfactbook", seda.WorldFactbook, seda.Config{}},
-		{"mondial", seda.Mondial, seda.MondialConfig()},
-		{"googlebase", seda.GoogleBase, seda.Config{}},
-		{"recipeml", seda.RecipeML, seda.Config{}},
-	} {
-		cfg := c.cfg
-		cfg.Parallelism = parallelism
-		cfg.Shards = shardCount
-
+	for _, c := range corpora {
 		// Setup (untimed): render the corpus to XML and build the base
 		// engine over all but the last document, plus the full collection
 		// the rebuild path starts from.
@@ -568,7 +479,7 @@ func ingest(scale float64) *ingestResult {
 			}
 			return col
 		}
-		base, err := seda.NewEngine(parse(len(raw)-1), cfg)
+		base, err := seda.NewEngine(parse(len(raw)-1), c.cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -584,7 +495,7 @@ func ingest(scale float64) *ingestResult {
 
 		// Path 2: full rebuild over the extended corpus.
 		start = time.Now()
-		rebuilt, err := seda.NewEngine(fullCol, cfg)
+		rebuilt, err := seda.NewEngine(fullCol, c.cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -599,12 +510,12 @@ func ingest(scale float64) *ingestResult {
 		fmt.Printf("%-16s %8d %14v %14v %9.1fx\n", c.name, len(raw),
 			time.Duration(ingestNs).Round(time.Microsecond),
 			time.Duration(rebuildNs).Round(time.Microsecond), speedup)
-		res.Corpora = append(res.Corpora, ingestCorpus{
+		rows = append(rows, ingestCorpus{
 			Name: c.name, Docs: len(raw), IngestNs: ingestNs,
 			RebuildNs: rebuildNs, Speedup: speedup,
 		})
 	}
-	return res
+	return rows
 }
 
 // shardsExp compares the 1-shard and multi-shard execution planes per
@@ -615,35 +526,21 @@ func ingest(scale float64) *ingestResult {
 // layout costs nothing, it just cannot pay out without cores). The
 // 1-shard numbers are the same workload the coldstart experiment records,
 // so they double as a baseline cross-check.
-func shardsExp(scale float64) *shardsResult {
-	multi := shardCount
-	if multi <= 1 {
-		multi = 4
-	}
-	res := &shardsResult{Name: "shards", Scale: scale, Shards: multi, Env: currentEnv()}
+func shardsExp(scale float64) []shardsCorpus {
+	var rows []shardsCorpus
 	tmp, err := os.MkdirTemp("", "seda-shards-*")
 	if err != nil {
 		fatal(err)
 	}
 	defer os.RemoveAll(tmp)
 
-	fmt.Printf("%-16s %14s %14s %14s %14s\n", "corpus", "build 1-shard", fmt.Sprintf("build %d-shard", multi), "load 1-shard", fmt.Sprintf("load %d-shard", multi))
-	for _, c := range []struct {
-		name string
-		gen  func(float64) *seda.Collection
-		cfg  seda.Config
-	}{
-		{"worldfactbook", seda.WorldFactbook, seda.Config{}},
-		{"mondial", seda.Mondial, seda.MondialConfig()},
-		{"googlebase", seda.GoogleBase, seda.Config{}},
-		{"recipeml", seda.RecipeML, seda.Config{}},
-	} {
+	fmt.Printf("%-16s %14s %14s %14s %14s\n", "corpus", "build 1-shard", fmt.Sprintf("build %d-shard", multiShards), "load 1-shard", fmt.Sprintf("load %d-shard", multiShards))
+	for _, c := range corpora {
 		col := c.gen(scale)
-		row := shardsCorpus{Name: c.name, Docs: col.NumDocs()}
+		row := shardsCorpus{Name: c.name, Docs: col.NumDocs(), Shards: multiShards}
 
 		measure := func(shards int) (buildNs, loadNs int64) {
 			cfg := c.cfg
-			cfg.Parallelism = parallelism
 			cfg.Shards = shards
 
 			start := time.Now()
@@ -673,7 +570,7 @@ func shardsExp(scale float64) *shardsResult {
 		}
 
 		row.Build1Ns, row.Load1Ns = measure(1)
-		row.BuildNNs, row.LoadNNs = measure(multi)
+		row.BuildNNs, row.LoadNNs = measure(multiShards)
 		row.BuildSpeedup = float64(row.Build1Ns) / float64(row.BuildNNs)
 		row.LoadSpeedup = float64(row.Load1Ns) / float64(row.LoadNNs)
 		fmt.Printf("%-16s %14v %14v %14v %14v\n", c.name,
@@ -681,15 +578,16 @@ func shardsExp(scale float64) *shardsResult {
 			time.Duration(row.BuildNNs).Round(time.Microsecond),
 			time.Duration(row.Load1Ns).Round(time.Microsecond),
 			time.Duration(row.LoadNNs).Round(time.Microsecond))
-		res.Corpora = append(res.Corpora, row)
+		rows = append(rows, row)
 	}
-	return res
+	return rows
 }
 
 // shardsCorpus is one corpus row of BENCH_shards.json.
 type shardsCorpus struct {
 	Name         string  `json:"name"`
 	Docs         int     `json:"docs"`
+	Shards       int     `json:"shards"` // the multi-shard layout measured
 	Build1Ns     int64   `json:"build_1shard_ns"`
 	BuildNNs     int64   `json:"build_nshard_ns"`
 	Load1Ns      int64   `json:"load_1shard_ns"`
@@ -698,48 +596,20 @@ type shardsCorpus struct {
 	LoadSpeedup  float64 `json:"load_speedup"`  // load_1shard_ns / load_nshard_ns
 }
 
-// shardsResult extends the benchResult shape with per-corpus
-// 1-shard-vs-multi-shard numbers.
-type shardsResult struct {
-	Name    string         `json:"name"`
-	Scale   float64        `json:"scale"`
-	Shards  int            `json:"shards"` // the multi-shard layout measured
-	NsPerOp int64          `json:"ns_per_op"`
-	Env     benchEnv       `json:"env"`
-	Corpora []shardsCorpus `json:"corpora"`
-}
-
-func writeShardsResult(dir string, r *shardsResult) {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_shards.json")
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "sedabench: writing %s: %v\n", path, err)
-		return
-	}
-	fmt.Printf("wrote %s\n\n", path)
-}
-
 // benchEnv records the execution environment in every BENCH_*.json so a
 // perf trajectory is only ever compared across like machines: wall-clock
 // from a 1-core container says nothing about an 8-core box.
 type benchEnv struct {
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
-	GoVersion   string `json:"go_version"`
-	Parallelism int    `json:"parallelism"` // the -parallelism flag (0 = all cores)
-	ShardsFlag  int    `json:"shards_flag"` // the -shards flag (0 = single shard)
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
 }
 
 func currentEnv() benchEnv {
 	return benchEnv{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		GoVersion:   runtime.Version(),
-		Parallelism: parallelism,
-		ShardsFlag:  shardCount,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
 	}
 }
 
@@ -752,29 +622,6 @@ type ingestCorpus struct {
 	Speedup   float64 `json:"speedup"`    // rebuild_ns / ingest_ns
 }
 
-// ingestResult extends the benchResult shape with per-corpus
-// incremental-vs-rebuild numbers.
-type ingestResult struct {
-	Name    string         `json:"name"`
-	Scale   float64        `json:"scale"`
-	NsPerOp int64          `json:"ns_per_op"` // whole-experiment wall time
-	Env     benchEnv       `json:"env"`
-	Corpora []ingestCorpus `json:"corpora"`
-}
-
-func writeIngestResult(dir string, r *ingestResult) {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_ingest.json")
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "sedabench: writing %s: %v\n", path, err)
-		return
-	}
-	fmt.Printf("wrote %s\n\n", path)
-}
-
 // coldstartCorpus is one corpus row of BENCH_coldstart.json.
 type coldstartCorpus struct {
 	Name          string  `json:"name"`
@@ -784,52 +631,33 @@ type coldstartCorpus struct {
 	SnapshotBytes int64   `json:"snapshot_bytes"`
 }
 
-// coldstartResult extends the benchResult shape with per-corpus
-// build-vs-load numbers.
-type coldstartResult struct {
-	Name    string            `json:"name"`
-	Scale   float64           `json:"scale"`
-	NsPerOp int64             `json:"ns_per_op"` // whole-experiment wall time
-	Env     benchEnv          `json:"env"`
-	Corpora []coldstartCorpus `json:"corpora"`
-}
-
-func writeColdstartResult(dir string, r *coldstartResult) {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_coldstart.json")
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "sedabench: writing %s: %v\n", path, err)
-		return
-	}
-	fmt.Printf("wrote %s\n\n", path)
-}
-
-// benchResult is the machine-readable record one experiment run leaves
-// behind for perf-trajectory comparisons across revisions. Each experiment
-// runs once, so ns_per_op is its wall time.
-type benchResult struct {
+// record is the one machine-readable result every experiment leaves
+// behind as BENCH_<name>.json for perf-trajectory comparisons across
+// revisions. Each experiment runs once, so ns_per_op is its wall time and
+// allocs/alloc_bytes cover the whole run. Corpora holds the engine
+// experiments' per-corpus rows.
+type record struct {
 	Name       string   `json:"name"`
 	Scale      float64  `json:"scale"`
 	NsPerOp    int64    `json:"ns_per_op"`
 	Allocs     uint64   `json:"allocs"`
 	AllocBytes uint64   `json:"alloc_bytes"`
 	Env        benchEnv `json:"env"`
+	Corpora    any      `json:"corpora,omitempty"`
 }
 
-func writeBenchResult(dir string, r benchResult) {
+// writeRecord writes r as dir/BENCH_<name>.json.
+func writeRecord(dir string, r record) error {
 	buf, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	path := filepath.Join(dir, "BENCH_"+r.Name+".json")
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "sedabench: writing %s: %v\n", path, err)
-		return
+		return err
 	}
 	fmt.Printf("wrote %s\n\n", path)
+	return nil
 }
 
 func fatal(err error) {

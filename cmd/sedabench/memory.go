@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,12 +28,8 @@ import (
 // p95 while keeping `sedabench -exp all` fast.
 const memoryQueryRounds = 30
 
-func memoryExp(scale float64) *memoryResult {
-	multi := shardCount
-	if multi <= 1 {
-		multi = 4
-	}
-	res := &memoryResult{Name: "memory", Scale: scale, Shards: multi, Env: currentEnv()}
+func memoryExp(scale float64) []memoryCorpus {
+	var rows []memoryCorpus
 	tmp, err := os.MkdirTemp("", "seda-memory-*")
 	if err != nil {
 		fatal(err)
@@ -42,26 +37,16 @@ func memoryExp(scale float64) *memoryResult {
 	defer os.RemoveAll(tmp)
 
 	fmt.Printf("%-16s %12s   %s\n", "corpus", "index bytes", "per-budget heap / p95")
-	for _, c := range []struct {
-		name string
-		gen  func(float64) *seda.Collection
-		cfg  seda.Config
-	}{
-		{"worldfactbook", seda.WorldFactbook, seda.Config{}},
-		{"mondial", seda.Mondial, seda.MondialConfig()},
-		{"googlebase", seda.GoogleBase, seda.Config{}},
-		{"recipeml", seda.RecipeML, seda.Config{}},
-	} {
+	for _, c := range corpora {
 		cfg := c.cfg
-		cfg.Parallelism = parallelism
-		cfg.Shards = multi
+		cfg.Shards = multiShards
 
 		source := c.gen(scale)
 		eng, err := seda.NewEngine(source, cfg)
 		if err != nil {
 			fatal(err)
 		}
-		row := memoryCorpus{Name: c.name, Docs: source.NumDocs()}
+		row := memoryCorpus{Name: c.name, Docs: source.NumDocs(), Shards: multiShards}
 
 		// Section sizes: the delta-coded shard sections the snapshot below
 		// carries.
@@ -177,9 +162,9 @@ func memoryExp(scale float64) *memoryResult {
 			}
 			fmt.Println()
 		}
-		res.Corpora = append(res.Corpora, row)
+		rows = append(rows, row)
 	}
-	return res
+	return rows
 }
 
 // memoryQueries mirrors the corpus-agnostic query derivation the engine
@@ -244,31 +229,8 @@ type memoryBudget struct {
 type memoryCorpus struct {
 	Name          string         `json:"name"`
 	Docs          int            `json:"docs"`
+	Shards        int            `json:"shards"`   // shard layout measured
 	V3Bytes       int64          `json:"v3_bytes"` // delta-coded shard sections; key kept so records stay comparable
 	SnapshotBytes int64          `json:"snapshot_bytes"`
 	Budgets       []memoryBudget `json:"budgets"`
-}
-
-// memoryResult extends the benchResult shape with per-corpus compression
-// and paged-residency numbers.
-type memoryResult struct {
-	Name    string         `json:"name"`
-	Scale   float64        `json:"scale"`
-	Shards  int            `json:"shards"` // shard layout measured
-	NsPerOp int64          `json:"ns_per_op"`
-	Env     benchEnv       `json:"env"`
-	Corpora []memoryCorpus `json:"corpora"`
-}
-
-func writeMemoryResult(dir string, r *memoryResult) {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_memory.json")
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "sedabench: writing %s: %v\n", path, err)
-		return
-	}
-	fmt.Printf("wrote %s\n\n", path)
 }

@@ -54,6 +54,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -352,19 +353,26 @@ const MaxShards = 64
 // buffering an unbounded body into memory.
 const maxBodyBytes = 64 << 20
 
+// decodeJSON decodes a request body that is exactly one JSON value into v;
+// only whitespace may follow the value. On failure it writes the 400 (or
+// 413) and returns false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		if dec.Decode(&json.RawMessage{}) == io.EOF {
+			return true
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		err = errors.New("trailing data after the JSON value")
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 		return false
 	}
-	return true
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	return false
 }
 
 // getSession resolves {id}, writing 404 when the session is unknown or

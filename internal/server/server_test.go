@@ -548,4 +548,24 @@ func TestErrorPaths(t *testing.T) {
 	c.call("GET", "/sessions/"+id+"/topk?k=zero", nil, http.StatusBadRequest, nil)
 	// Analyze before cube.
 	c.call("POST", "/sessions/"+id+"/analyze", analyzeRequest{Measure: "m", Dims: []string{"d"}}, http.StatusConflict, nil)
+	// A body is one JSON value: trailing data is rejected, trailing
+	// whitespace is not. call marshals its body, so these post raw bytes.
+	body := `{"collection":"wf","query":"(*, germany)"}`
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{body + `{"collection":"junk"} trailing`, http.StatusBadRequest},
+		{body + ` trailing`, http.StatusBadRequest},
+		{body + " \n\t", http.StatusCreated},
+	} {
+		resp, err := http.Post(c.ts.URL+"/sessions", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST /sessions %q: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
+	}
 }
